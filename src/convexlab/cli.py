@@ -4,8 +4,8 @@ Reproducibility contract: one command per process, the seed comes from
 ``--seed`` (falling back to the ``CONVEXLAB_SEED`` environment variable, then
 0), and every output file embeds the package version, the resolved
 configuration, and the seed.  Reruns with identical configuration produce
-byte-identical files.  Exit codes: 0 success, 1 usage or I/O error,
-2 inequality violation, 3 numerical non-convergence.
+byte-identical files.  Exit codes: 0 success, 1 usage, I/O or out-of-memory
+error, 2 inequality violation, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -390,6 +390,12 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
+    except MemoryError:
+        print(
+            "error: out of memory (try fewer --samples or a body with fewer vertices)",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,6 +29,14 @@ from scipy.spatial import QhullError
 DEDUP_TOL = 1e-10
 # Default slack for membership tests, in the polar-normalized facet form <w,x> <= 1.
 CONTAIN_TOL = 1e-9
+# Polytope membership forms a (points x facets) product of up to
+# CONTAIN_WHOLE_ELEMENTS (32 MB) whole, and a larger one in row blocks of about
+# CONTAIN_BLOCK_ELEMENTS, so its memory does not grow with the point count.
+# Blocks that fit in cache were the fastest size measured; blocking small
+# products too cost the Yao-Yao and orthant paths page faults on every call,
+# since the allocator then returns and refaults the arrays around them.
+CONTAIN_BLOCK_ELEMENTS = 1 << 16
+CONTAIN_WHOLE_ELEMENTS = 1 << 22
 # Maps with |det| below this are rejected as singular.
 DET_TOL = 1e-12
 # Above this many candidate n-subsets, vertex enumeration switches from the
@@ -111,22 +119,60 @@ class LinearMap:
 def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     """Drop rows within tol (infinity norm) of a kept row.
 
-    Rows are lexsorted first; a sliding window over kept rows whose leading
-    coordinate is within tol keeps the scan near-linear.
+    Greedy in lexicographic order: a row is dropped when an earlier kept row
+    lies within tol of it, counting only kept rows whose leading coordinate is
+    at least this row's minus tol (a sliding window on the leading
+    coordinate).  The survivors are returned lexsorted.
+
+    Exact repeats sit next to each other after the sort and only the first of
+    each run can survive, so they are collapsed up front.  The near pairs come
+    from one k-d tree query, and the greedy pass runs only over the rows that
+    have one: each sweep drops every row with a kept earlier partner and keeps
+    every row whose earlier partners are all dropped, so a chain of k near
+    rows takes at most k sweeps.
     """
     order = np.lexsort(rows.T[::-1])
     rs = rows[order]
-    kept: list[int] = []
-    window: list[int] = []
-    for i in range(rs.shape[0]):
-        r = rs[i]
-        while window and rs[window[0]][0] < r[0] - tol:
-            window.pop(0)
-        if any(np.max(np.abs(rs[j] - r)) <= tol for j in window):
-            continue
-        window.append(i)
-        kept.append(i)
-    return rs[kept]
+    if rs.shape[0] < 2:
+        return rs
+    fresh = np.ones(rs.shape[0], dtype=bool)
+    np.any(rs[1:] != rs[:-1], axis=1, out=fresh[1:])
+    rs = rs[fresh]
+    pairs = cKDTree(rs).query_pairs(tol, p=np.inf, output_type="ndarray")
+    if pairs.shape[0] == 0:
+        return rs
+    a, b = pairs[:, 0], pairs[:, 1]  # a < b: a precedes b in lexicographic order
+    in_window = rs[a, 0] >= rs[b, 0] - tol
+    a, b = a[in_window], b[in_window]
+    # state: 1 kept, -1 dropped, 0 undecided; a row with no earlier partner is kept
+    state = np.ones(rs.shape[0], dtype=np.int8)
+    state[b] = 0
+    while True:
+        state[b[state[a] == 1]] = -1
+        undecided = state == 0
+        if not undecided.any():
+            break
+        alive = np.bincount(b[state[a] != -1], minlength=rs.shape[0])
+        state[undecided & (alive == 0)] = 1
+    return rs[state == 1]
+
+
+def _facet_test(
+    pts: np.ndarray, normals: np.ndarray, bound: float, offsets: np.ndarray | None = None
+) -> np.ndarray:
+    """``max_i <u_i, x> / c_i <= bound`` per point (``c_i = 1`` without
+    offsets), in row blocks of about ``CONTAIN_BLOCK_ELEMENTS`` products when
+    the whole product exceeds ``CONTAIN_WHOLE_ELEMENTS``."""
+    m = normals.shape[0]
+    whole = pts.shape[0] * m <= CONTAIN_WHOLE_ELEMENTS
+    rows = max(1, pts.shape[0] if whole else CONTAIN_BLOCK_ELEMENTS // m)
+    out = np.empty(pts.shape[0], dtype=bool)
+    for lo in range(0, pts.shape[0], rows):
+        prod = pts[lo : lo + rows] @ normals.T
+        if offsets is not None:
+            prod /= offsets
+        np.less_equal(np.maximum.reduce(prod, axis=1), bound, out=out[lo : lo + rows])
+    return out
 
 
 def _check_symmetric_rows(rows: np.ndarray, tol: float) -> None:
@@ -226,8 +272,7 @@ class SymmetricVPolytope:
         if self.dim == 2 and self.vertices.shape[0] >= 64:
             out = self._contains_angular(pts, tol)
         else:
-            w = self._facet_normals()
-            out = np.max(pts @ w.T, axis=1) <= 1.0 + tol
+            out = _facet_test(pts, self._facet_normals(), 1.0 + tol)
         return bool(out[0]) if single else out
 
     def _contains_angular(self, pts: np.ndarray, tol: float) -> np.ndarray:
@@ -306,7 +351,7 @@ class SymmetricHPolytope:
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         # scale-free form <u, x>/c <= 1 + tol, consistent with the V-side test
-        out = np.max((pts @ self.normals.T) / self.offsets, axis=1) <= 1.0 + tol
+        out = _facet_test(pts, self.normals, 1.0 + tol, self.offsets)
         return bool(out[0]) if single else out
 
     def radial(self, u: np.ndarray) -> float:

@@ -195,6 +195,20 @@ def _sym_logm(q: np.ndarray) -> np.ndarray:
     return (v * np.log(w)) @ v.T
 
 
+def _quadratic_monomials(pts: np.ndarray) -> np.ndarray:
+    """Rows ``[x_1^2, .., x_n^2, 2 x_i x_j (i < j)]``, so that ``x^T Q x`` is the
+    row times ``_vec_from_sym(Q)``."""
+    iu = np.triu_indices(pts.shape[1], k=1)
+    return np.column_stack([pts * pts, 2.0 * pts[:, iu[0]] * pts[:, iu[1]]])
+
+
+def _count_inside(mono: list[np.ndarray], q: np.ndarray, level: float) -> int:
+    """Number of cloud points with ``x^T q x <= level``; ``mono`` holds the
+    quadratic monomials of the cloud in blocks."""
+    w = _vec_from_sym(q)
+    return sum(int(np.count_nonzero(block @ w <= level)) for block in mono)
+
+
 def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple[Ellipsoid, float]:
     """Locally best o-symmetric ellipsoid under the homothetic distance.
 
@@ -205,11 +219,22 @@ def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple
     per run, K-membership cached, so each candidate only needs an ellipsoid
     membership pass and the objective is piecewise-smooth in the parameters.
 
+    The cloud is cached as the quadratic monomials of its points in K, one
+    block per sampling chunk, so an ellipsoid membership pass is one
+    matrix-vector product per block.  The points themselves are not kept:
+    the cache holds n(n+1)/2 floats per accepted point (3 in 2D, 10 in 4D),
+    about ``samples * |K| / |box| * n(n+1)/2 * 8`` bytes in all -- 190 MB for
+    a near-ball in 2D at 10^7 samples.  The product rounds differently from
+    the quadratic form ``x^T q x``, so only a point within a few ulps of the
+    boundary could be counted differently.
+
     Returns the fitted ellipsoid (scaled to ``|E| = |K|``) and a fresh-seed
     re-evaluation of A(K, E) at the optimum -- the re-evaluation avoids the
     low bias an optimizer extracts from its own sample noise.  Warns and
     returns the best iterate if the simplex search hits the iteration cap.
     """
+    if samples <= 0:
+        raise ValueError("best-fit ellipsoid search needs a positive sample count")
     n = body.dim
     vol_k = volume(body)
     alpha = vol_k ** (-1.0 / n)
@@ -217,14 +242,13 @@ def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple
     hi = alpha * memb.bounding_box()[1]
     box_vol = float(np.prod(2.0 * hi))
     rng = np.random.default_rng(seed)
-    kept = []
+    mono = []
     done = 0
     while done < samples:
         m = min(_CHUNK, samples - done)
         cloud = rng.uniform(-hi, hi, size=(m, n))
-        kept.append(cloud[memb.contains(cloud / alpha)])
+        mono.append(_quadratic_monomials(cloud[memb.contains(cloud / alpha)]))
         done += m
-    pts = np.vstack(kept)
     weight = box_vol / samples
     wn = unit_ball_volume(n)
 
@@ -232,8 +256,7 @@ def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple
         q = _sym_expm(_sym_from_vec(theta, n))
         # b = |E_q|^(-1/n); membership in bE_q is x^T q x <= b^2
         beta2 = (wn / math.sqrt(np.linalg.det(q))) ** (-2.0 / n)
-        quad = np.einsum("ij,jk,ik->i", pts, q, pts)
-        inter = weight * np.count_nonzero(quad <= beta2)
+        inter = weight * _count_inside(mono, q, beta2)
         return 2.0 * (1.0 - inter)
 
     q0 = np.linalg.inv(second_moment_matrix(body).matrix)

@@ -189,6 +189,17 @@ def test_stability_bad_range():
     assert run("stability", "kt-sweep", "--dim", "2", "--t", "0.01:0.05") == 1
 
 
+def test_out_of_memory_exit_code(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "kt_sweep", exhausted)
+    assert run("stability", "kt-sweep", "--dim", "2", "--t", "0.05") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_usage_errors_exit_one():
     assert run("gen", "frobnicate", "--dim", "2", "--out", "x.json") == 1
     assert run("verify") == 1
@@ -215,6 +226,14 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert load_body(out).dim == 2
+
+
+def test_python_dash_m_help():
+    proc = subprocess.run(
+        [sys.executable, "-m", "convexlab", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    assert "usage: convexlab" in proc.stdout
 
 
 def test_version_flag(capsys):

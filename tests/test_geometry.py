@@ -1,10 +1,12 @@
 """Body types, polarity, maps, grids, and serialization round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import convexlab.geometry as geometry
 from convexlab.geometry import (
     Ellipsoid,
     LinearMap,
@@ -28,6 +30,7 @@ from convexlab.geometry import (
     unit_ball_volume,
     vertex_enumeration,
 )
+from convexlab.stability import kt_family
 
 
 def test_unit_ball_volume_closed_forms():
@@ -105,6 +108,45 @@ def test_membership_boundary(square):
     assert not square.contains(np.array([1.001, 0.0]))
     inside = square.contains(np.array([[0.5, -0.5], [2.0, 0.0]]))
     assert inside.tolist() == [True, False]
+
+
+def _one_shot_facet_test(pts, normals, offsets, tol=1e-9):
+    """The whole (points x facets) product at once: the unblocked reference."""
+    return np.max((pts @ normals.T) / offsets, axis=1) <= 1.0 + tol
+
+
+@pytest.mark.parametrize("block,whole", [(1, 0), (7, 0), (100, 0), (1 << 16, 1 << 22)])
+def test_polytope_contains_blocks_match_one_shot(monkeypatch, block, whole):
+    rng = np.random.default_rng(block)
+    vp = random_symmetric_polytope(3, 10, seed=4)
+    hp = ball_approx(3, 40, seed=2)
+    w = polar(vp).vertices
+    pts = rng.uniform(-1.5, 1.5, size=(1001, 3))
+    # points on facets, inside the tolerance band of the test
+    pts[:10] = w[:10] / np.sum(w[:10] ** 2, axis=1, keepdims=True)
+    monkeypatch.setattr(geometry, "CONTAIN_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(geometry, "CONTAIN_WHOLE_ELEMENTS", whole)
+    np.testing.assert_array_equal(vp.contains(pts), _one_shot_facet_test(pts, w, np.ones(len(w))))
+    np.testing.assert_array_equal(
+        hp.contains(pts), _one_shot_facet_test(pts, hp.normals, hp.offsets)
+    )
+    assert vp.contains(np.zeros((0, 3))).shape == (0,)
+
+
+def test_contains_memory_bounded_on_3d_kt():
+    """2^20 points against the 4098 facets of a 3D K_t: a one-shot product
+    would take 32 GiB; the blocked test stays within a few MiB."""
+    body = kt_family(3, 0.05).to_v()
+    body.contains(np.zeros(3))  # builds the cached polar (facet normals)
+    pts = np.random.default_rng(0).uniform(-1.2, 1.2, size=(1 << 20, 3))
+    tracemalloc.start()
+    try:
+        inside = body.contains(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < np.count_nonzero(inside) < inside.size
+    assert peak < 16 * 2**20
 
 
 def test_ellipsoid_support_radial_reciprocal():
@@ -286,6 +328,72 @@ def test_star_triangulation_volume(square):
     simplices = star_triangulation(square)
     vols = np.abs(np.linalg.det(simplices[:, 1:, :] - simplices[:, :1, :])) / 2.0
     assert vols.sum() == pytest.approx(4.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# vertex dedup
+# ---------------------------------------------------------------------------
+
+
+def _greedy_dedup_reference(rows, tol):
+    """The per-row greedy scan: lexsort, then drop each row within tol of a
+    kept row in a sliding window on the leading coordinate."""
+    order = np.lexsort(rows.T[::-1])
+    rs = rows[order]
+    kept = []
+    window = []
+    for i in range(rs.shape[0]):
+        r = rs[i]
+        while window and rs[window[0]][0] < r[0] - tol:
+            window.pop(0)
+        if any(np.max(np.abs(rs[j] - r)) <= tol for j in window):
+            continue
+        window.append(i)
+        kept.append(i)
+    return rs[kept]
+
+
+def _dedup_input(rng, n, tol):
+    """Random rows plus exact repeats, near-duplicate chains spaced 0.9 tol,
+    rows exactly tol away, and roundoff-sized jitter, shuffled."""
+    base = rng.uniform(-1.0, 1.0, size=(int(rng.integers(20, 200)), n))
+    if rng.random() < 0.5:
+        base = np.round(base / tol) * tol  # shared leading coordinates
+    parts = [base, base[rng.integers(0, len(base), size=len(base) // 2)]]
+    for _ in range(int(rng.integers(1, 8))):
+        step = rng.choice([-1.0, 0.0, 1.0], size=n) * 0.9 * tol
+        step[0] = 0.9 * tol
+        length = int(rng.integers(2, 12))
+        parts.append(base[rng.integers(0, len(base))] + np.arange(1, length)[:, None] * step)
+    parts.append(base[:8] + tol * rng.choice([-1.0, 0.0, 1.0], size=(8, n)))
+    parts.append(base[:8] + 1e-3 * tol * rng.standard_normal((8, n)))
+    rows = np.vstack(parts)
+    return rows[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3, 1e-1])
+def test_dedup_rows_matches_greedy_reference(n, tol):
+    rng = np.random.default_rng([n, int(-math.log10(tol))])
+    for _ in range(20):
+        rows = _dedup_input(rng, n, tol)
+        np.testing.assert_array_equal(
+            geometry._dedup_rows(rows, tol), _greedy_dedup_reference(rows, tol)
+        )
+
+
+def test_dedup_rows_edge_cases():
+    for rows in (np.zeros((0, 2)), np.ones((1, 3)), np.ones((5, 3))):
+        np.testing.assert_array_equal(
+            geometry._dedup_rows(rows, 1e-10), _greedy_dedup_reference(rows, 1e-10)
+        )
+    # |x - y| rounds to <= tol, yet x < fl(y - tol): the window has already
+    # passed x when y is scanned, so both rows are kept
+    tol = 0.04039494944476028
+    rows = np.array([[0.004958849371071625, 0.0], [0.0453537988158319, 0.0]])
+    assert np.max(np.abs(rows[1] - rows[0])) <= tol
+    assert len(_greedy_dedup_reference(rows, tol)) == 2
+    np.testing.assert_array_equal(geometry._dedup_rows(rows, tol), rows)
 
 
 # ---------------------------------------------------------------------------

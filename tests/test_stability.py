@@ -19,6 +19,10 @@ from convexlab.moments import volume
 from convexlab.stability import (
     StabilityRecord,
     Strip,
+    _count_inside,
+    _quadratic_monomials,
+    _sym_expm,
+    _sym_from_vec,
     best_fit_ellipsoid,
     fit_loglog_slope,
     homothetic_distance,
@@ -109,6 +113,36 @@ def test_fit_bounds_homothetic_distance(square, disk):
     _, fitted = best_fit_ellipsoid(square, samples=300_000, seed=3)
     direct = homothetic_distance(square, disk, samples=300_000, seed=3)
     assert fitted <= direct + 5e-3
+
+
+def test_fit_rejects_nonpositive_samples(square):
+    with pytest.raises(ValueError, match="positive sample count"):
+        best_fit_ellipsoid(square, samples=0)
+
+
+def _einsum_count(pts, q, level):
+    return int(np.count_nonzero(np.einsum("ij,jk,ik->i", pts, q, pts) <= level))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_monomial_count_matches_einsum(n):
+    """The cached-monomial objective counts the same points as the quadratic
+    form x^T q x, on the fit's own kind of cloud and for 120 shape draws at
+    the volume-matched level, where the count is most sensitive."""
+    rng = np.random.default_rng(n)
+    if n == 2:
+        body = kt_family(2, 0.08).to_v()
+        cloud = rng.uniform(-1.2, 1.2, size=(200_000, 2))
+        pts = cloud[body.contains(cloud)]
+    else:
+        pts = rng.uniform(-1.0, 1.0, size=(100_000, 4))
+    cut = len(pts) // 3
+    blocks = [_quadratic_monomials(pts[:cut]), _quadratic_monomials(pts[cut:])]
+    wn = unit_ball_volume(n)
+    for _ in range(120):
+        q = _sym_expm(_sym_from_vec(0.3 * rng.standard_normal(n * (n + 1) // 2), n))
+        level = (wn / math.sqrt(np.linalg.det(q))) ** (-2.0 / n)
+        assert _count_inside(blocks, q, level) == _einsum_count(pts, q, level)
 
 
 # ---------------------------------------------------------------------------
