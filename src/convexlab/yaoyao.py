@@ -41,7 +41,6 @@ MIN_SAMPLES = 10_000
 _REJECT_CHUNK = 1 << 17
 _MAX_REJECT_ROUNDS = 20_000
 _AXIS_TOL = 1e-9
-_COVER_DIRECTIONS = 4096
 _MASS_CHUNK = 2_000_000
 
 
@@ -444,8 +443,7 @@ def _assign_to_cones(cones, points: np.ndarray) -> np.ndarray:
     best = np.full(len(pts), -np.inf)
     idx = np.zeros(len(pts), dtype=np.intp)
     for i, cone in enumerate(cones):
-        coords = np.linalg.solve(cone.generators, pts.T)
-        depth = coords.min(axis=0)
+        depth = cone.coordinates(pts).min(axis=1)
         better = depth > best
         best[better] = depth[better]
         idx[better] = i
@@ -526,7 +524,7 @@ def yao_yao_equipartition(
             f"not an equipartition: worst cone mass deviation {worst:.3e} "
             f"exceeds {mass_tol:g} * 2^-{n}"
         )
-    _check_cover(cones, n)
+    _check_cover(cones, 4096, 12345, "cone complex does not cover the sphere")
     return YaoYaoPartition(
         center=np.zeros(n),
         base_direction=u,
@@ -539,14 +537,15 @@ def yao_yao_equipartition(
     )
 
 
-def _check_cover(cones: tuple[SimplicialCone, ...], n: int) -> None:
-    dirs = random_directions(n, _COVER_DIRECTIONS, np.random.default_rng(12345))
+def _check_cover(cones: tuple[SimplicialCone, ...], count: int, seed: int, message: str) -> None:
+    """Raise ``RuntimeError(message)`` unless every one of ``count`` seeded
+    random directions lies in some cone (coordinates >= -1e-9)."""
+    dirs = random_directions(cones[0].dim, count, np.random.default_rng(seed))
     covered = np.zeros(len(dirs), dtype=bool)
     for cone in cones:
-        coords = np.linalg.solve(cone.generators, dirs.T)
-        covered |= (coords >= -1e-9).all(axis=0)
+        covered |= (cone.coordinates(dirs) >= -1e-9).all(axis=1)
     if not covered.all():
-        raise RuntimeError("cone complex does not cover the sphere")
+        raise RuntimeError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +626,5 @@ def dual_partition(partition: YaoYaoPartition) -> tuple[SimplicialCone, ...]:
     from .geometry import dual_cone
 
     duals = tuple(dual_cone(c) for c in partition.cones)
-    n = partition.dim
-    dirs = random_directions(n, 100_000, np.random.default_rng(54321))
-    covered = np.zeros(len(dirs), dtype=bool)
-    for cone in duals:
-        coords = np.linalg.solve(cone.generators, dirs.T)
-        covered |= (coords >= -1e-9).all(axis=0)
-    if not covered.all():
-        raise RuntimeError("dual cone family does not cover the sphere")
+    _check_cover(duals, 100_000, 54321, "dual cone family does not cover the sphere")
     return duals

@@ -1,5 +1,6 @@
 """Body types, polarity, maps, grids, and serialization round-trips."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 
 import convexlab.geometry as geometry
 from convexlab.geometry import (
+    CONTAIN_TOL,
     Ellipsoid,
     LinearMap,
     SimplicialCone,
@@ -115,22 +117,37 @@ def _one_shot_facet_test(pts, normals, offsets, tol=1e-9):
     return np.max((pts @ normals.T) / offsets, axis=1) <= 1.0 + tol
 
 
-@pytest.mark.parametrize("block,whole", [(1, 0), (7, 0), (100, 0), (1 << 16, 1 << 22)])
-def test_polytope_contains_blocks_match_one_shot(monkeypatch, block, whole):
-    rng = np.random.default_rng(block)
-    vp = random_symmetric_polytope(3, 10, seed=4)
-    hp = ball_approx(3, 40, seed=2)
-    w = polar(vp).vertices
-    pts = rng.uniform(-1.5, 1.5, size=(1001, 3))
-    # points on facets, inside the tolerance band of the test
-    pts[:10] = w[:10] / np.sum(w[:10] ** 2, axis=1, keepdims=True)
+def _contains_bodies():
+    """2D, 3D and 4D V-polytopes (6, 28 and 100 facets), an 80-gon (the
+    angular path) and a 3D H-polytope with non-unit offsets (40 facets)."""
+    vps = [random_symmetric_polytope(n, k, seed=4) for n, k in ((2, 3), (3, 10), (4, 16))]
+    theta = np.linspace(0.0, 2.0 * np.pi, 80, endpoint=False)
+    vps.append(SymmetricVPolytope(np.column_stack([1.3 * np.cos(theta), 0.8 * np.sin(theta)])))
+    warp = LinearMap(np.array([[1.5, 0.2, 0.0], [0.0, 0.7, 0.3], [0.1, 0.0, 1.2]]))
+    hp = apply_map(warp, ball_approx(3, 40, seed=2))
+    assert np.ptp(hp.offsets) > 0.1
+    cases = [(vp, polar(vp).vertices, np.ones(len(polar(vp).vertices))) for vp in vps]
+    return cases + [(hp, hp.normals, hp.offsets)]
+
+
+# Budgets 1, 7 and 100 give every facet test point-major row blocks; 1024
+# gives the 6- and 28-facet bodies facet-major blocks and the others
+# point-major ones; 65536 gives every body facet-major blocks (rows >= facets
+# up to 256 facets).  The 80-gon runs the angular test in blocks of the budget.
+@pytest.mark.parametrize("block", [1, 7, 100, 1 << 10, 1 << 16])
+def test_polytope_contains_blocks_match_one_shot(monkeypatch, block):
     monkeypatch.setattr(geometry, "CONTAIN_BLOCK_ELEMENTS", block)
-    monkeypatch.setattr(geometry, "CONTAIN_WHOLE_ELEMENTS", whole)
-    np.testing.assert_array_equal(vp.contains(pts), _one_shot_facet_test(pts, w, np.ones(len(w))))
-    np.testing.assert_array_equal(
-        hp.contains(pts), _one_shot_facet_test(pts, hp.normals, hp.offsets)
-    )
-    assert vp.contains(np.zeros((0, 3))).shape == (0,)
+    rng = np.random.default_rng(block)
+    for body, normals, offsets in _contains_bodies():
+        n = body.dim
+        pts = rng.uniform(-1.5, 1.5, size=(1001, n))
+        # points on facets, inside the tolerance band of the test
+        on = normals * (offsets / np.sum(normals**2, axis=1))[:, None]
+        pts[: len(on)] = on
+        np.testing.assert_array_equal(
+            body.contains(pts), _one_shot_facet_test(pts, normals, offsets)
+        )
+        assert body.contains(np.zeros((0, n))).shape == (0,)
 
 
 def test_contains_memory_bounded_on_3d_kt():
@@ -263,6 +280,49 @@ def test_dual_cone_involution():
     # generator columns are normalized on construction, so compare against the
     # constructed cone rather than the raw input matrix
     np.testing.assert_allclose(dual_cone(dual_cone(c)).generators, c.generators, atol=1e-12)
+
+
+def _random_cone(n, rng):
+    while True:
+        g = rng.standard_normal((n, n))
+        if np.linalg.cond(g) < 20:
+            return SimplicialCone(g)
+
+
+def _solve_coordinates(cone, pts):
+    """Coordinates from a fresh solve: the reference for the cached inverse."""
+    return np.linalg.solve(cone.generators, pts.T).T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cone_coordinates_match_solve(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        cone = _random_cone(n, rng)
+        random_pts = rng.uniform(-2.0, 2.0, size=(500, n))
+        ray_pts = (cone.generators[:, rng.integers(0, n, 200)] * rng.uniform(0, 3, 200)).T
+        for pts in (random_pts, ray_pts):
+            ref = _solve_coordinates(cone, pts)
+            np.testing.assert_allclose(cone.coordinates(pts), ref, rtol=0, atol=1e-13)
+            scale = np.maximum(1.0, np.max(np.abs(ref), axis=1))
+            np.testing.assert_array_equal(
+                cone.contains(pts), np.min(ref, axis=1) >= -CONTAIN_TOL * scale
+            )
+        assert cone.contains(ray_pts).all()
+        assert cone.contains(cone.generators[:, 0]) is True
+
+
+def test_cone_inverse_is_private_state():
+    """The cached inverse takes no part in equality, repr or the constructor."""
+    g = np.array([[1.0, 1.0], [0.3, -0.8]])
+    cone = SimplicialCone(g)
+    assert [f.name for f in dataclasses.fields(cone) if f.compare] == ["generators"]
+    assert repr(cone) == f"SimplicialCone(generators={cone.generators!r})"
+    assert cone == cone
+    assert not cone._inverse.flags.writeable
+    np.testing.assert_allclose(cone._inverse @ cone.generators, np.eye(2), atol=1e-15)
+    with pytest.raises(TypeError):
+        SimplicialCone(g, np.eye(2))
 
 
 def test_cone_contains_generators_and_combinations():

@@ -10,10 +10,12 @@ Frozen closed forms used as oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import convexlab.geometry as geometry
 from convexlab.geometry import (
     Ellipsoid,
     LinearMap,
@@ -131,6 +133,21 @@ def test_directional_ellipsoid_equality():
     for u in (E1, np.array([0.6, 0.8])):
         rep = directional_deficit(iso, u, cert)
         assert abs(rep.deficit) < 1e-9
+
+
+def test_directional_mc_tolerance_is_propagated():
+    """On the MC route the tolerance is four standard errors of the product
+    of the two directional integrals, so it shrinks like 1/sqrt(samples)."""
+    e = random_ellipsoid(3, seed=5)
+    _, iso, cert = isotropize(e, target="polar")
+    u = np.array([0.6, 0.0, 0.8])
+    reps = [directional_deficit(iso, u, cert, method="mc", samples=s, seed=2) for s in (10**5, 4 * 10**5)]
+    for rep in reps:
+        assert rep.method == "mc" and rep.passed
+        assert rep.tolerance == pytest.approx(4.0 * rep.metadata["stderr"], rel=1e-12)
+        assert abs(rep.lhs - rep.rhs) < rep.tolerance
+    assert reps[0].tolerance / reps[1].tolerance == pytest.approx(2.0, rel=0.1)
+    assert reps[0].tolerance < 10.0 / math.sqrt(10**5)
 
 
 def test_directional_rejects_bad_certificate(square):
@@ -255,6 +272,41 @@ def test_orthant_region_moment_routes(disk):
     assert se is None and exact == pytest.approx(math.pi / 16.0, abs=1e-12)
     est, se_mc = region.coordinate_moment(0, method="mc", samples=200_000, seed=4)
     assert abs(est - exact) <= 4.0 * se_mc
+
+
+def test_orthant_clip_4d_bounded():
+    """A 4D body with 100 facets has 4.6e6 candidate vertex subsets once the
+    orthant is added; the clip goes to Qhull instead of listing them."""
+    region = OrthantRegion(random_symmetric_polytope(4, 16, seed=1))
+    tracemalloc.start()
+    try:
+        exact, se = region.coordinate_moment(0, method="exact")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert se is None
+    assert peak < 16 * 2**20
+    est, se_mc = region.coordinate_moment(0, method="mc", samples=10**6, seed=3)
+    assert abs(est - exact) <= 4.0 * se_mc
+
+
+@pytest.mark.parametrize("n,pairs", [(2, 8), (3, 10)])
+def test_orthant_clip_qhull_matches_sweep(monkeypatch, n, pairs):
+    body = apply_map(
+        LinearMap(np.eye(n) + 0.3 * np.random.default_rng(n).standard_normal((n, n))),
+        random_symmetric_polytope(n, pairs, seed=2),
+    )
+    routes = []
+    for cap in (geometry.BRUTEFORCE_SUBSET_CAP, 0):
+        monkeypatch.setattr(geometry, "BRUTEFORCE_SUBSET_CAP", cap)
+        region = OrthantRegion(body)
+        moments = [region.coordinate_moment(i, method="exact")[0] for i in range(n)]
+        routes.append((np.unique(np.round(region._verts, 9), axis=0), region._verts, moments))
+    (sweep_set, sweep_verts, sweep), (qhull_set, qhull_verts, qhull) = routes
+    # the same vertices, each listed once
+    np.testing.assert_allclose(qhull_set, sweep_set, atol=1e-9)
+    assert len(sweep_verts) == len(qhull_verts) == len(sweep_set)
+    np.testing.assert_allclose(qhull, sweep, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

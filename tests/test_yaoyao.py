@@ -1,5 +1,6 @@
 """Equipartition of the <x,u>^2 measure into 2^n cones, duals, and shears."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from convexlab.geometry import (
     Ellipsoid,
+    SimplicialCone,
     cross_polytope,
     cube,
     dual_cone,
@@ -16,6 +18,7 @@ from convexlab.geometry import (
 )
 from convexlab.yaoyao import (
     MeasureSamples,
+    YaoYaoPartition,
     assign_cones,
     cone_to_orthant,
     dual_partition,
@@ -141,9 +144,65 @@ def test_cones_partition_the_plane(square):
     assert np.mean(hits > 1) < 0.01
 
 
+def _solve_assign(cones, pts):
+    """Cone assignment from fresh solves: the reference for the cached inverse.
+    Returns the chosen index and every cone's depth (smallest coordinate)."""
+    depths = np.stack([np.linalg.solve(c.generators, pts.T).min(axis=0) for c in cones])
+    best = np.full(len(pts), -np.inf)
+    idx = np.zeros(len(pts), dtype=np.intp)
+    for i, depth in enumerate(depths):
+        better = depth > best
+        best[better] = depth[better]
+        idx[better] = i
+    return idx, depths
+
+
+def _rotated_orthants(n, rng):
+    """The 2^n orthants of a random orthonormal frame, as a partition."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    cones = tuple(SimplicialCone(q * np.array(s)) for s in itertools.product((1.0, -1.0), repeat=n))
+    return YaoYaoPartition(
+        center=np.zeros(n), base_direction=q[:, 0], axis=q[:, 0], cones=cones,
+        masses=np.ones(2**n), total=float(2**n), mass_tol=5e-3,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_assign_cones_matches_solve(square, n):
+    rng = np.random.default_rng(10 + n)
+    parts = [_rotated_orthants(n, rng)]
+    if n == 2:
+        parts.append(yao_yao_equipartition(sample_measure(square, E1, 60_000, seed=8)))
+    for part in parts:
+        pts = rng.standard_normal((4000, n))
+        ref, _ = _solve_assign(part.cones, pts)
+        np.testing.assert_array_equal(assign_cones(part, pts), ref)
+        # points on generator rays lie on several cones: the choice may go to
+        # any cone whose depth ties the best one within roundoff
+        gens = np.hstack([c.generators for c in part.cones])
+        rays = (gens[:, rng.integers(0, gens.shape[1], 500)] * rng.uniform(0.1, 3, 500)).T
+        got = assign_cones(part, rays)
+        _, depths = _solve_assign(part.cones, rays)
+        chosen = depths[got, np.arange(len(rays))]
+        np.testing.assert_allclose(chosen, depths.max(axis=0), rtol=0, atol=1e-12)
+        assert [set(c) for c in part.to_json_dict()["cones"]] == [{"generators"}] * 2**n
+
+
 # ---------------------------------------------------------------------------
 # duals and shears
 # ---------------------------------------------------------------------------
+
+
+def test_dual_partition_rejects_a_gap():
+    """Two opposite quadrants, each listed twice: the quadrants between them
+    are uncovered, although every direction has one nonnegative coordinate."""
+    q1, q3 = SimplicialCone(np.eye(2)), SimplicialCone(-np.eye(2))
+    part = YaoYaoPartition(
+        center=np.zeros(2), base_direction=E1, axis=E1, cones=(q1, q3, q1, q3),
+        masses=np.ones(4), total=4.0, mass_tol=5e-3,
+    )
+    with pytest.raises(RuntimeError, match="dual cone family does not cover the sphere"):
+        dual_partition(part)
 
 
 def test_dual_partition_covers(square):
