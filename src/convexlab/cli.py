@@ -29,6 +29,7 @@ from .geometry import (
     random_ellipsoid,
     random_symmetric_polytope,
     save_body,
+    write_json,
 )
 from .harness import (
     ball_deficit,
@@ -188,11 +189,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "chain_rhs": chain.rhs,
         }
     )
-    text = json.dumps(result, sort_keys=True, indent=1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(args.out, result)
+    print(json.dumps(result, sort_keys=True, indent=1))
     return EXIT_OK
 
 
@@ -331,7 +330,6 @@ def build_parser() -> _Parser:
     def common(p, samples_default):
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--samples", type=int, default=samples_default)
-        p.add_argument("--workers", type=int, default=1, help="recorded; execution is serial")
         p.add_argument("--out", type=str, default=None)
 
     p_gen = sub.add_parser("gen", help="generate a body file")

@@ -785,13 +785,15 @@ def body_from_json_dict(data: dict) -> Body:
     raise ValueError(f"unknown body kind {kind!r}")
 
 
-def save_body(path, body: Body, extra: dict | None = None) -> None:
-    data = body.to_json_dict()
-    if extra:
-        data.update(extra)
+def write_json(path, data: dict) -> None:
+    """The one artifact format: sorted keys, one-space indent, trailing newline."""
     with open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def save_body(path, body: Body, extra: dict | None = None) -> None:
+    write_json(path, {**body.to_json_dict(), **(extra or {})})
 
 
 def load_body(path) -> Body:

@@ -40,15 +40,17 @@ from .geometry import (
 )
 from .isotropic import IsotropicCertificate
 from .moments import (
+    MC_CHUNK,
     _check_acceptance,
     _simplex_stack_moments,
     box_chunks,
     mc_volume,
     reference_ball_moment,
+    rejection_sample,
     second_moment_matrix,
     volume,
 )
-from .yaoyao import YaoYaoPartition, cone_to_orthant, shear_partition, shear_to_axis
+from .yaoyao import YaoYaoPartition, cone_to_orthant, shear_partition
 
 EXACT_TOL = 1e-8
 # Number of MC standard errors below zero a deficit may sit before failing.
@@ -57,7 +59,6 @@ MC_SIGMAS = 4.0
 # polar-restricted pair at all, not that the inequality is tight.
 HYPOTHESIS_TOL = 1e-9
 
-_ORTHANT_REJECT_ROUNDS = 20_000
 _ORTHANT_CHUNK = 1 << 16
 
 
@@ -271,8 +272,9 @@ def _mc_restricted_moment(
     s2 = 0.0
     accepted = 0
     total = 0
-    box_vol = 0.0
-    for pts, box_vol in box_chunks(body, samples, seed):
+    lo, hi = body.bounding_box()
+    box_vol = float(np.prod(hi - lo))
+    for pts in box_chunks(lo, hi, samples, seed, MC_CHUNK):
         keep = body.contains(pts)
         if region is not None:
             keep &= region(pts)
@@ -410,22 +412,8 @@ class OrthantRegion:
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
         """Uniform points of the region by rejection from its bounding box."""
-        _, hi = self.body.bounding_box()
-        hi = np.maximum(hi, 1e-12)
-        rng = np.random.default_rng(seed)
-        out = []
-        have = 0
-        for _ in range(_ORTHANT_REJECT_ROUNDS):
-            cand = rng.uniform(0.0, hi, size=(_ORTHANT_CHUNK, self.dim))
-            acc = cand[self.body.contains(cand)]
-            if len(acc):
-                out.append(acc)
-                have += len(acc)
-            if have >= count:
-                break
-        else:
-            raise RuntimeError("orthant rejection sampling failed: acceptance too low")
-        return np.concatenate(out)[:count]
+        hi = np.maximum(self.body.bounding_box()[1], 1e-12)
+        return rejection_sample(self.body.contains, 0.0, hi, count, seed, _ORTHANT_CHUNK)
 
     def coordinate_moment(
         self, i: int, method: str = "auto", samples: int = 10**6, seed: int = 0
@@ -469,25 +457,20 @@ class OrthantRegion:
         return float(m[i, i])
 
     def _mc_moment(self, i: int, samples: int, seed: int) -> tuple[float, float]:
-        _, hi = self.body.bounding_box()
-        hi = np.maximum(hi, 1e-12)
-        box_vol = float(np.prod(hi))
-        rng = np.random.default_rng(seed)
+        hi = np.maximum(self.body.bounding_box()[1], 1e-12)
+        lo = 0.0  # a scalar bound draws faster than an array of zeros
+        box_vol = float(np.prod(hi - lo))
         s1 = 0.0
         s2 = 0.0
         accepted = 0
         total = 0
-        remaining = int(samples)
-        while remaining > 0:
-            kchunk = min(_ORTHANT_CHUNK * 4, remaining)
-            pts = rng.uniform(0.0, hi, size=(kchunk, self.dim))
+        for pts in box_chunks(lo, hi, samples, seed, _ORTHANT_CHUNK * 4):
             inside = self.body.contains(pts)
             vals = pts[inside, i] ** 2
             s1 += float(vals.sum())
             s2 += float((vals * vals).sum())
             accepted += int(np.count_nonzero(inside))
-            total += kchunk
-            remaining -= kchunk
+            total += len(pts)
         _check_acceptance(accepted, total)
         mean = s1 / total
         var = max(s2 / total - mean * mean, 0.0)
@@ -635,31 +618,3 @@ def chain_consistency(
         "gamma": gamma,
     }
     return _report("chain", lhs, rhs, tol, "exact" if exact else "mc", meta)
-
-
-def shear_monotonicity(
-    body: Body, partition: YaoYaoPartition, method: str = "auto",
-    samples: int = 10**6, seed: int = 0,
-) -> DeficitReport:
-    """Shearing the partition axis onto the base direction cannot decrease the
-    directional product: ``P(K, u) <= P(T K, u)`` for T = shear_to_axis(u, v),
-    provided the polar of K is isotropic.
-
-    The body-side integral is invariant (the shear preserves heights).  On the
-    polar side the u-moment becomes the v-moment divided by <u, v>^2 <= 1;
-    isotropy of the polar equates the v- and u-moments, so the product can
-    only grow.  Without isotropy the sign is genuinely indefinite -- callers
-    must isotropize with target="polar" first.
-    """
-    u = partition.base_direction
-    v = partition.axis
-    t = shear_to_axis(u, v)
-    lhs = directional_product(body, u, method=method, samples=samples, seed=seed)
-    rhs = directional_product(apply_map(t, body), u, method=method, samples=samples, seed=seed)
-    exact = method != "mc"
-    tol = EXACT_TOL * max(1.0, lhs) if exact else max(EXACT_TOL, 10.0 / math.sqrt(samples))
-    meta = {
-        "seed": None if exact else seed,
-        "axis_alignment": float(u @ v),
-    }
-    return _report("shear-monotonicity", lhs, rhs, tol, "exact" if exact else "mc", meta)

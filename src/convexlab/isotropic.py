@@ -11,7 +11,6 @@ the map S to apply to K itself such that (S K)* is isotropic, using
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,15 +39,6 @@ class IsotropicCertificate:
             "diag_spread_rel": self.diag_spread_rel,
             "volume_after": self.volume_after,
         }
-
-
-def save_certificate(path, cert: IsotropicCertificate, extra: dict | None = None) -> None:
-    data = cert.to_json_dict()
-    if extra:
-        data.update(extra)
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def moment_anisotropy(mm: MomentMatrix) -> tuple[float, float]:

@@ -2,14 +2,16 @@
 
 Two routes everywhere: exact (star triangulation into simplices with a
 closed-form simplex moment, or closed forms for ellipsoids) and Monte Carlo
-rejection sampling in the bounding box.  MC accumulation is chunked in a fixed
+rejection sampling in the bounding box.  Every Monte Carlo route in the
+package draws its uniform box points through ``box_chunks`` (directly, or
+through ``rejection_sample`` when it needs a fixed number of accepted points).
+The draws do not depend on the chunk size; accumulation is chunked in a fixed
 order so results are bit-stable for a given seed regardless of how the work
 would be scheduled.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,6 +28,8 @@ from .geometry import (
 )
 
 MC_CHUNK = 1_000_000
+# Chunks a fixed-count rejection sampler draws before giving up.
+MAX_REJECT_ROUNDS = 20_000
 # Below this acceptance rate the bounding box is so loose the body is treated
 # as degenerate for rejection sampling.
 MIN_ACCEPT_RATE = 1e-4
@@ -90,15 +94,6 @@ class MomentMatrix:
             samples=data.get("samples"),
             seed=data.get("seed"),
         )
-
-
-def save_moment_matrix(path, mm: MomentMatrix, extra: dict | None = None) -> None:
-    data = mm.to_json_dict()
-    if extra:
-        data.update(extra)
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +196,46 @@ def ball_functional(body: Body, method: str = "auto", samples: int = 10**6, seed
 # ---------------------------------------------------------------------------
 
 
-def box_chunks(body: Body, samples: int, seed: int, chunk: int = MC_CHUNK):
-    """Yield (points, box_volume) chunks of uniform draws in the bounding box.
+def box_chunks(lo: np.ndarray | float, hi: np.ndarray, samples: int, seed: int, chunk: int):
+    """Yield ``samples`` uniform draws in the box ``[lo, hi]``, ``chunk`` rows at a time.
 
-    Chunk boundaries are fixed by ``chunk`` alone, so any consumer that
-    accumulates in yield order is deterministic for a given seed.
+    The chunks concatenate to the single draw ``default_rng(seed).uniform(lo,
+    hi, (samples, n))`` for every chunk size, so any consumer that accumulates
+    in yield order is deterministic for a given seed and chunk.  ``lo`` may be
+    a scalar shared by every coordinate.
     """
-    lo, hi = body.bounding_box()
-    box_vol = float(np.prod(hi - lo))
     rng = np.random.default_rng(seed)
     remaining = int(samples)
     while remaining > 0:
         k = min(chunk, remaining)
-        yield rng.uniform(lo, hi, size=(k, body.dim)), box_vol
+        yield rng.uniform(lo, hi, size=(k, len(hi)))
         remaining -= k
+
+
+def rejection_sample(contains, lo, hi, count: int, seed: int, chunk: int) -> np.ndarray:
+    """The first ``count`` points of the ``box_chunks`` stream that ``contains`` accepts.
+
+    The result does not depend on ``chunk``.  Gives up with ValueError after
+    ``MAX_REJECT_ROUNDS`` chunks.
+    """
+    kept = []
+    have = 0
+    for pts in box_chunks(lo, hi, MAX_REJECT_ROUNDS * chunk, seed, chunk):
+        acc = pts[contains(pts)]
+        kept.append(acc)
+        have += len(acc)
+        if have >= count:
+            return np.concatenate(kept)[:count]
+    raise ValueError("rejection sampling failed: acceptance rate too low")
 
 
 def mc_volume(body: Body, samples: int, seed: int) -> tuple[float, float]:
     """Rejection-sampled volume estimate, returned with its standard error."""
+    lo, hi = body.bounding_box()
+    box_vol = float(np.prod(hi - lo))
     total = 0
     accepted = 0
-    box_vol = 0.0
-    for pts, box_vol in box_chunks(body, samples, seed):
+    for pts in box_chunks(lo, hi, samples, seed, MC_CHUNK):
         accepted += int(np.count_nonzero(body.contains(pts)))
         total += len(pts)
     _check_acceptance(accepted, total)
@@ -237,8 +250,9 @@ def mc_second_moment(body: Body, samples: int, seed: int) -> MomentMatrix:
     s2 = np.zeros((n, n))
     vol_hits = 0
     total = 0
-    box_vol = 0.0
-    for pts, box_vol in box_chunks(body, samples, seed):
+    lo, hi = body.bounding_box()
+    box_vol = float(np.prod(hi - lo))
+    for pts in box_chunks(lo, hi, samples, seed, MC_CHUNK):
         inside = body.contains(pts)
         acc = pts[inside]
         s1 += np.einsum("ki,kj->ij", acc, acc)

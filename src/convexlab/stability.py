@@ -28,7 +28,7 @@ from .geometry import (
     unit_ball_volume,
 )
 from .harness import ball_deficit, santalo_deficit
-from .moments import second_moment_matrix, volume
+from .moments import box_chunks, second_moment_matrix, volume
 
 # bump plateau / support chordal radii.  A height-t bump of angular ramp
 # width w is a valid support perturbation only while t * max(-phi'') <= 1,
@@ -157,17 +157,11 @@ def homothetic_distance(k_body: Body, c_body: Body, samples: int = 10**6, seed: 
     mk = _membership_body(k_body)
     mc = _membership_body(c_body)
     hi = np.maximum(alpha * mk.bounding_box()[1], beta * mc.bounding_box()[1])
-    box_vol = float(np.prod(2.0 * hi))
-    rng = np.random.default_rng(seed)
+    lo = -hi
+    box_vol = float(np.prod(hi - lo))
     hits = 0
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        pts = rng.uniform(-hi, hi, size=(m, n))
-        in_k = mk.contains(pts / alpha)
-        in_c = mc.contains(pts / beta)
-        hits += int(np.count_nonzero(in_k ^ in_c))
-        done += m
+    for pts in box_chunks(lo, hi, samples, seed, _CHUNK):
+        hits += int(np.count_nonzero(mk.contains(pts / alpha) ^ mc.contains(pts / beta)))
     return box_vol * hits / samples
 
 
@@ -240,15 +234,12 @@ def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple
     alpha = vol_k ** (-1.0 / n)
     memb = _membership_body(body)
     hi = alpha * memb.bounding_box()[1]
-    box_vol = float(np.prod(2.0 * hi))
-    rng = np.random.default_rng(seed)
-    mono = []
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        cloud = rng.uniform(-hi, hi, size=(m, n))
-        mono.append(_quadratic_monomials(cloud[memb.contains(cloud / alpha)]))
-        done += m
+    lo = -hi
+    box_vol = float(np.prod(hi - lo))
+    mono = [
+        _quadratic_monomials(cloud[memb.contains(cloud / alpha)])
+        for cloud in box_chunks(lo, hi, samples, seed, _CHUNK)
+    ]
     weight = box_vol / samples
     wn = unit_ball_volume(n)
 
@@ -419,14 +410,10 @@ def strip_restricted_diff(
         raise ValueError("inputs live in different dimensions")
     mk = _membership_body(k_body)
     hi = np.maximum(mk.bounding_box()[1], ellipsoid.bounding_box()[1])
-    box_vol = float(np.prod(2.0 * hi))
-    rng = np.random.default_rng(seed)
+    lo = -hi
+    box_vol = float(np.prod(hi - lo))
     hits = 0
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        pts = rng.uniform(-hi, hi, size=(m, n))
+    for pts in box_chunks(lo, hi, samples, seed, _CHUNK):
         diff = mk.contains(pts) ^ ellipsoid.contains(pts)
         hits += int(np.count_nonzero(diff & cone.contains(pts) & ~strip.contains(pts)))
-        done += m
     return box_vol * hits / samples

@@ -35,11 +35,12 @@ from .geometry import (
     SimplicialCone,
     orthonormal_basis,
     random_directions,
+    write_json,
 )
+from .moments import rejection_sample
 
 MIN_SAMPLES = 10_000
 _REJECT_CHUNK = 1 << 17
-_MAX_REJECT_ROUNDS = 20_000
 _AXIS_TOL = 1e-9
 _MASS_CHUNK = 2_000_000
 
@@ -128,21 +129,7 @@ def sample_measure(
     u = u / np.linalg.norm(u)
     n = body.dim
     lo, hi = body.bounding_box()
-    rng = np.random.default_rng(seed)
-    need = n_samples // 2
-    kept: list[np.ndarray] = []
-    have = 0
-    for _ in range(_MAX_REJECT_ROUNDS):
-        cand = rng.uniform(lo, hi, size=(_REJECT_CHUNK, n))
-        acc = cand[body.contains(cand)]
-        if len(acc):
-            kept.append(acc)
-            have += len(acc)
-        if have >= need:
-            break
-    else:
-        raise ValueError("rejection sampling failed: acceptance rate too low")
-    half = np.concatenate(kept)[:need]
+    half = rejection_sample(body.contains, lo, hi, n_samples // 2, seed, _REJECT_CHUNK)
     pts = np.empty((n_samples, n))
     pts[0::2] = half
     pts[1::2] = -half
@@ -399,12 +386,7 @@ class YaoYaoPartition:
 
 
 def save_partition(path, partition: YaoYaoPartition, extra: dict | None = None) -> None:
-    data = partition.to_json_dict()
-    if extra:
-        data.update(extra)
-    with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, {**partition.to_json_dict(), **(extra or {})})
 
 
 def load_partition(path) -> YaoYaoPartition:

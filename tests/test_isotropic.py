@@ -13,13 +13,9 @@ from convexlab.geometry import (
     random_ellipsoid,
     random_symmetric_polytope,
     unit_ball_volume,
+    write_json,
 )
-from convexlab.isotropic import (
-    isotropize,
-    kls_sandwich_check,
-    moment_anisotropy,
-    save_certificate,
-)
+from convexlab.isotropic import isotropize, kls_sandwich_check, moment_anisotropy
 from convexlab.moments import second_moment_matrix, volume
 
 
@@ -112,6 +108,6 @@ def test_kls_sandwich_rejects_anisotropic():
 def test_certificate_file(tmp_path):
     _, _, cert = isotropize(random_symmetric_polytope(2, 8, seed=6))
     path = tmp_path / "cert.json"
-    save_certificate(path, cert, extra={"seed": 6})
+    write_json(path, {**cert.to_json_dict(), "seed": 6})
     text = path.read_text()
     assert "off_diag_rel" in text and text.endswith("\n")

@@ -22,14 +22,17 @@ from convexlab.geometry import (
     random_ellipsoid,
     random_symmetric_polytope,
     unit_ball_volume,
+    write_json,
 )
+from convexlab import moments
 from convexlab.moments import (
     MomentMatrix,
     ball_functional,
+    box_chunks,
     mc_second_moment,
     mc_volume,
     reference_ball_moment,
-    save_moment_matrix,
+    rejection_sample,
     second_moment_matrix,
     simplex_second_moment,
     simplex_volume,
@@ -146,6 +149,44 @@ def test_second_moment_matrix_mc_dispatch():
     assert np.all(np.abs(est.matrix - exact.matrix) <= 4.0 * est.stderr + 1e-12)
 
 
+BOX_LO = np.array([-1.0, 0.0, -2.5])
+BOX_HI = np.array([1.0, 0.5, 3.0])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 49, 50, 64])
+def test_box_chunks_concatenate_to_one_draw(chunk):
+    n_draws = 50
+    whole = np.random.default_rng(4).uniform(BOX_LO, BOX_HI, (n_draws, 3))
+    parts = list(box_chunks(BOX_LO, BOX_HI, n_draws, 4, chunk))
+    assert [len(p) for p in parts[:-1]] == [chunk] * (len(parts) - 1)
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def _in_unit_ball(pts):
+    return np.einsum("ij,ij->i", pts, pts) <= 1.0
+
+
+def test_rejection_sample_independent_of_chunk():
+    a = rejection_sample(_in_unit_ball, BOX_LO, BOX_HI, 300, seed=2, chunk=64)
+    b = rejection_sample(_in_unit_ball, BOX_LO, BOX_HI, 300, seed=2, chunk=1000)
+    assert a.shape == (300, 3)
+    assert np.all(_in_unit_ball(a))
+    assert a.tobytes() == b.tobytes()
+
+
+def test_rejection_sample_gives_up(monkeypatch):
+    monkeypatch.setattr(moments, "MAX_REJECT_ROUNDS", 3)
+    calls = []
+
+    def reject_all(pts):
+        calls.append(len(pts))
+        return np.zeros(len(pts), dtype=bool)
+
+    with pytest.raises(ValueError, match="acceptance rate too low"):
+        rejection_sample(reject_all, BOX_LO, BOX_HI, 1, seed=0, chunk=16)
+    assert calls == [16, 16, 16]
+
+
 # ---------------------------------------------------------------------------
 # ball functional
 # ---------------------------------------------------------------------------
@@ -182,7 +223,7 @@ def test_moment_matrix_roundtrip(tmp_path):
 
     mm = mc_second_moment(cube(2), 20_000, seed=1)
     path = tmp_path / "mm.json"
-    save_moment_matrix(path, mm, extra={"seed": 1})
+    write_json(path, {**mm.to_json_dict(), "seed": 1})
     with open(path) as fh:
         back = MomentMatrix.from_json_dict(json.load(fh))
     np.testing.assert_array_equal(back.matrix, mm.matrix)
