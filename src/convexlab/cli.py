@@ -105,12 +105,11 @@ def _parse_t_values(text: str) -> list[float]:
 
 
 def _run_config(args: argparse.Namespace) -> dict:
-    skip = {"func"}
     options = {}
     for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
+        if key == "func" or value is None:
             continue
-        options[key.replace("_", "-")] = value if not isinstance(value, float) else value
+        options[key.replace("_", "-")] = value
     return {"version": __version__, "seed": args.seed, "config": options}
 
 

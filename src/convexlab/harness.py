@@ -40,10 +40,8 @@ from .geometry import (
 )
 from .isotropic import IsotropicCertificate
 from .moments import (
-    MC_CHUNK,
-    _check_acceptance,
     _simplex_stack_moments,
-    box_chunks,
+    box_moments,
     mc_volume,
     reference_ball_moment,
     rejection_sample,
@@ -58,8 +56,6 @@ MC_SIGMAS = 4.0
 # Hypothesis violations larger than this mean the X, Y inputs are not a
 # polar-restricted pair at all, not that the inequality is tight.
 HYPOTHESIS_TOL = 1e-9
-
-_ORTHANT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -268,25 +264,9 @@ def _mc_restricted_moment(
     body: Body, u: np.ndarray, region, samples: int, seed: int
 ) -> tuple[float, float]:
     """MC estimate of ``integral over body-and-region of <x,u>^2 dx``."""
-    s1 = 0.0
-    s2 = 0.0
-    accepted = 0
-    total = 0
     lo, hi = body.bounding_box()
-    box_vol = float(np.prod(hi - lo))
-    for pts in box_chunks(lo, hi, samples, seed, MC_CHUNK):
-        keep = body.contains(pts)
-        if region is not None:
-            keep &= region(pts)
-        h2 = (pts[keep] @ u) ** 2
-        s1 += float(h2.sum())
-        s2 += float((h2 * h2).sum())
-        accepted += int(np.count_nonzero(keep))
-        total += len(pts)
-    _check_acceptance(accepted, total)
-    mean = s1 / total
-    var = max(s2 / total - mean * mean, 0.0)
-    return box_vol * mean, box_vol * math.sqrt(var / total)
+    value, stderr, _ = box_moments(body.contains, lo, hi, samples, seed, u[:, None], region)
+    return float(value[0, 0]), float(stderr[0, 0])
 
 
 def cone_restricted_deficit(
@@ -413,7 +393,7 @@ class OrthantRegion:
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
         """Uniform points of the region by rejection from its bounding box."""
         hi = np.maximum(self.body.bounding_box()[1], 1e-12)
-        return rejection_sample(self.body.contains, 0.0, hi, count, seed, _ORTHANT_CHUNK)
+        return rejection_sample(self.body.contains, 0.0, hi, count, seed)
 
     def coordinate_moment(
         self, i: int, method: str = "auto", samples: int = 10**6, seed: int = 0
@@ -435,8 +415,12 @@ class OrthantRegion:
                     return 2.0 ** (-n) * float(mm.matrix[i, i]), None
                 if method == "exact":
                     raise ValueError("exact orthant moment needs an axis-aligned ellipsoid")
-        value, stderr = self._mc_moment(i, samples, seed)
-        return value, stderr
+        hi = np.maximum(self.body.bounding_box()[1], 1e-12)
+        # a scalar lower bound draws faster than an array of zeros
+        value, stderr, _ = box_moments(
+            self.body.contains, 0.0, hi, samples, seed, np.eye(n)[:, i : i + 1]
+        )
+        return float(value[0, 0]), float(stderr[0, 0])
 
     def _exact_polytope_moment(self, i: int) -> float:
         verts = self._verts
@@ -455,26 +439,6 @@ class OrthantRegion:
         simplices[:, 1:, :] = facets
         m, _ = _simplex_stack_moments(simplices)
         return float(m[i, i])
-
-    def _mc_moment(self, i: int, samples: int, seed: int) -> tuple[float, float]:
-        hi = np.maximum(self.body.bounding_box()[1], 1e-12)
-        lo = 0.0  # a scalar bound draws faster than an array of zeros
-        box_vol = float(np.prod(hi - lo))
-        s1 = 0.0
-        s2 = 0.0
-        accepted = 0
-        total = 0
-        for pts in box_chunks(lo, hi, samples, seed, _ORTHANT_CHUNK * 4):
-            inside = self.body.contains(pts)
-            vals = pts[inside, i] ** 2
-            s1 += float(vals.sum())
-            s2 += float((vals * vals).sum())
-            accepted += int(np.count_nonzero(inside))
-            total += len(pts)
-        _check_acceptance(accepted, total)
-        mean = s1 / total
-        var = max(s2 / total - mean * mean, 0.0)
-        return box_vol * mean, box_vol * math.sqrt(var / total)
 
 
 def orthant_pair(

@@ -11,12 +11,11 @@ the map S to apply to K itself such that (S K)* is isotropic, using
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Body, Ellipsoid, LinearMap, apply_map, polar, unit_ball_volume
+from .geometry import Body, LinearMap, apply_map, polar, unit_ball_volume
 from .moments import MomentMatrix, second_moment_matrix, volume
 
 # Eigenvalue ratio beyond which the moment matrix is treated as numerically rank-deficient.
@@ -108,43 +107,3 @@ def _volume_of(body: Body, mm: MomentMatrix) -> float:
         return volume(body)
     except TypeError:
         return mm.volume
-
-
-def kls_sandwich_check(
-    body: Body,
-    iso_tol: float = 1e-6,
-    vol_tol: float = 1e-6,
-) -> tuple[float, float]:
-    """Inradius/circumradius of an isotropic ball-volume body, with bounds.
-
-    Preconditions: the body is isotropic within ``iso_tol`` (recomputed here)
-    and has the volume of the unit ball within ``vol_tol`` relative.  Returns
-    ``(r_in, r_out)`` and raises if the sandwich ``1/n <= r_in`` and
-    ``r_out <= n`` fails -- for genuinely isotropic input that would signal an
-    implementation bug, not a property of the body.
-    """
-    n = body.dim
-    wn = unit_ball_volume(n)
-    vol = volume(body)
-    if abs(vol - wn) > vol_tol * wn:
-        raise ValueError(f"body volume {vol:.6g} is not omega_n within {vol_tol:g} relative")
-    off, spread = moment_anisotropy(second_moment_matrix(body))
-    if max(off, spread) > iso_tol:
-        raise ValueError(
-            f"body is not isotropic within {iso_tol:g} (off={off:.2e}, spread={spread:.2e})"
-        )
-    if isinstance(body, Ellipsoid):
-        w = np.linalg.eigvalsh(body.shape)
-        r_in, r_out = 1.0 / math.sqrt(w[-1]), 1.0 / math.sqrt(w[0])
-    else:
-        pol = polar(body)
-        pv = pol.to_v() if hasattr(pol, "to_v") else pol
-        kv = body.to_v() if hasattr(body, "to_v") else body
-        r_in = 1.0 / float(np.max(np.linalg.norm(pv.vertices, axis=1)))
-        r_out = float(np.max(np.linalg.norm(kv.vertices, axis=1)))
-    slack = 1e-9
-    if r_in < 1.0 / n - slack or r_out > n + slack:
-        raise RuntimeError(
-            f"isotropic sandwich violated: r_in={r_in:.6g}, r_out={r_out:.6g}, n={n}"
-        )
-    return r_in, r_out

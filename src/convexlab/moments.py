@@ -3,11 +3,14 @@
 Two routes everywhere: exact (star triangulation into simplices with a
 closed-form simplex moment, or closed forms for ellipsoids) and Monte Carlo
 rejection sampling in the bounding box.  Every Monte Carlo route in the
-package draws its uniform box points through ``box_chunks`` (directly, or
-through ``rejection_sample`` when it needs a fixed number of accepted points).
-The draws do not depend on the chunk size; accumulation is chunked in a fixed
-order so results are bit-stable for a given seed regardless of how the work
-would be scheduled.
+package draws its uniform box points through ``box_chunks``, ``MC_CHUNK``
+rows at a time (directly, or through ``rejection_sample`` when it needs a
+fixed number of accepted points).  Every sampled integral of the form
+``int f f^T dx`` with ``f`` a linear projection of x -- the moment matrix,
+the directional moment ``int <x, u>^2`` and its cone or orthant restrictions
+-- is the one estimator ``box_moments``.  The draws do not depend on the
+chunk size, and accumulation runs in draw order, so results are bit-stable
+for a given seed and chunk size.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .geometry import (
     unit_ball_volume,
 )
 
-MC_CHUNK = 1_000_000
+# Rows per box draw.  A fixed-count rejection sampler over-draws up to one chunk.
+MC_CHUNK = 1 << 16
 # Chunks a fixed-count rejection sampler draws before giving up.
 MAX_REJECT_ROUNDS = 20_000
 # Below this acceptance rate the bounding box is so loose the body is treated
@@ -196,31 +200,33 @@ def ball_functional(body: Body, method: str = "auto", samples: int = 10**6, seed
 # ---------------------------------------------------------------------------
 
 
-def box_chunks(lo: np.ndarray | float, hi: np.ndarray, samples: int, seed: int, chunk: int):
-    """Yield ``samples`` uniform draws in the box ``[lo, hi]``, ``chunk`` rows at a time.
+def box_chunks(lo: np.ndarray | float, hi: np.ndarray, samples: int, seed: int):
+    """Yield ``samples`` uniform draws in the box ``[lo, hi]``, ``MC_CHUNK`` rows at a time.
 
     The chunks concatenate to the single draw ``default_rng(seed).uniform(lo,
     hi, (samples, n))`` for every chunk size, so any consumer that accumulates
     in yield order is deterministic for a given seed and chunk.  ``lo`` may be
     a scalar shared by every coordinate.
     """
+    if samples <= 0:
+        raise ValueError(f"Monte Carlo needs a positive sample count, got {samples}")
     rng = np.random.default_rng(seed)
     remaining = int(samples)
     while remaining > 0:
-        k = min(chunk, remaining)
+        k = min(MC_CHUNK, remaining)
         yield rng.uniform(lo, hi, size=(k, len(hi)))
         remaining -= k
 
 
-def rejection_sample(contains, lo, hi, count: int, seed: int, chunk: int) -> np.ndarray:
+def rejection_sample(contains, lo, hi, count: int, seed: int) -> np.ndarray:
     """The first ``count`` points of the ``box_chunks`` stream that ``contains`` accepts.
 
-    The result does not depend on ``chunk``.  Gives up with ValueError after
-    ``MAX_REJECT_ROUNDS`` chunks.
+    The result does not depend on ``MC_CHUNK``.  Gives up with ValueError
+    after ``MAX_REJECT_ROUNDS`` chunks.
     """
     kept = []
     have = 0
-    for pts in box_chunks(lo, hi, MAX_REJECT_ROUNDS * chunk, seed, chunk):
+    for pts in box_chunks(lo, hi, MAX_REJECT_ROUNDS * MC_CHUNK, seed):
         acc = pts[contains(pts)]
         kept.append(acc)
         have += len(acc)
@@ -229,49 +235,48 @@ def rejection_sample(contains, lo, hi, count: int, seed: int, chunk: int) -> np.
     raise ValueError("rejection sampling failed: acceptance rate too low")
 
 
+def box_moments(contains, lo, hi, samples: int, seed: int, proj=None, region=None):
+    """Monte Carlo ``int f f^T dx`` over ``{contains} cap {region}``, ``f = x @ proj``.
+
+    ``proj`` is an (n, k) matrix (None for the identity).  ``region`` is asked
+    only about the rows ``contains`` accepted.  Returns the box-scaled
+    estimate, its per-entry standard error and the number of accepted draws.
+    """
+    s1 = s2 = 0.0
+    accepted = 0
+    for pts in box_chunks(lo, hi, samples, seed):
+        acc = pts[contains(pts)]
+        if region is not None:
+            acc = acc[region(acc)]
+        f = acc if proj is None else acc @ proj
+        sq = f * f
+        s1 += f.T @ f
+        s2 += sq.T @ sq
+        accepted += len(acc)
+    if accepted / samples < MIN_ACCEPT_RATE:
+        raise ValueError(
+            f"rejection acceptance rate {accepted / samples:.2e} below {MIN_ACCEPT_RATE:.0e}: "
+            "degenerate body or unusable bounding box"
+        )
+    box_vol = float(np.prod(hi - lo))
+    mean = s1 / samples
+    var = np.maximum(s2 / samples - mean**2, 0.0)
+    return box_vol * mean, box_vol * np.sqrt(var / samples), accepted
+
+
 def mc_volume(body: Body, samples: int, seed: int) -> tuple[float, float]:
     """Rejection-sampled volume estimate, returned with its standard error."""
     lo, hi = body.bounding_box()
+    # a projection with no columns: only the accepted count is wanted
+    _, _, accepted = box_moments(body.contains, lo, hi, samples, seed, np.empty((body.dim, 0)))
     box_vol = float(np.prod(hi - lo))
-    total = 0
-    accepted = 0
-    for pts in box_chunks(lo, hi, samples, seed, MC_CHUNK):
-        accepted += int(np.count_nonzero(body.contains(pts)))
-        total += len(pts)
-    _check_acceptance(accepted, total)
-    p = accepted / total
-    return box_vol * p, box_vol * math.sqrt(p * (1.0 - p) / total)
+    p = accepted / samples
+    return box_vol * p, box_vol * math.sqrt(p * (1.0 - p) / samples)
 
 
 def mc_second_moment(body: Body, samples: int, seed: int) -> MomentMatrix:
     """Rejection-sampled second-moment matrix with per-entry standard errors."""
-    n = body.dim
-    s1 = np.zeros((n, n))
-    s2 = np.zeros((n, n))
-    vol_hits = 0
-    total = 0
     lo, hi = body.bounding_box()
-    box_vol = float(np.prod(hi - lo))
-    for pts in box_chunks(lo, hi, samples, seed, MC_CHUNK):
-        inside = body.contains(pts)
-        acc = pts[inside]
-        s1 += np.einsum("ki,kj->ij", acc, acc)
-        sq = acc**2
-        s2 += np.einsum("ki,kj->ij", sq, sq)
-        vol_hits += int(acc.shape[0])
-        total += len(pts)
-    _check_acceptance(vol_hits, total)
-    mean = s1 / total
-    var = s2 / total - mean**2
-    m = box_vol * mean
-    stderr = box_vol * np.sqrt(np.maximum(var, 0.0) / total)
-    vol = box_vol * vol_hits / total
-    return MomentMatrix(dim=n, matrix=m, volume=vol, stderr=stderr, samples=total, seed=seed)
-
-
-def _check_acceptance(accepted: int, total: int) -> None:
-    if total > 0 and accepted / total < MIN_ACCEPT_RATE:
-        raise ValueError(
-            f"rejection acceptance rate {accepted / total:.2e} below {MIN_ACCEPT_RATE:.0e}: "
-            "degenerate body or unusable bounding box"
-        )
+    m, stderr, accepted = box_moments(body.contains, lo, hi, samples, seed)
+    vol = float(np.prod(hi - lo)) * accepted / samples
+    return MomentMatrix(dim=body.dim, matrix=m, volume=vol, stderr=stderr, samples=int(samples), seed=seed)

@@ -21,7 +21,6 @@ from scipy.optimize import minimize
 from .geometry import (
     Body,
     Ellipsoid,
-    SimplicialCone,
     SymmetricHPolytope,
     polar,
     symmetric_direction_grid,
@@ -43,33 +42,6 @@ SWEEP_T_CAP = 0.12
 MIN_GRID = {2: 256, 3: 2048, 4: 4096}
 DEFAULT_GRID = {2: 2048, 3: 4096, 4: 8192}
 MAX_FIT_ITER = 500
-_CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class Strip:
-    """Symmetric slab ``{x : |<x, u>| <= half_width}`` around the hyperplane u^T x = 0."""
-
-    direction: np.ndarray
-    half_width: float
-
-    def __post_init__(self):
-        u = np.asarray(self.direction, dtype=float)
-        norm = float(np.linalg.norm(u))
-        if u.ndim != 1 or norm <= 0:
-            raise ValueError("strip direction must be a nonzero vector")
-        if not self.half_width > 0:
-            raise ValueError("strip half-width must be positive")
-        u = u / norm
-        u.flags.writeable = False
-        object.__setattr__(self, "direction", u)
-        object.__setattr__(self, "half_width", float(self.half_width))
-
-    def contains(self, points: np.ndarray) -> np.ndarray | bool:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        out = np.abs(np.atleast_2d(pts) @ self.direction) <= self.half_width
-        return bool(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -160,7 +132,7 @@ def homothetic_distance(k_body: Body, c_body: Body, samples: int = 10**6, seed: 
     lo = -hi
     box_vol = float(np.prod(hi - lo))
     hits = 0
-    for pts in box_chunks(lo, hi, samples, seed, _CHUNK):
+    for pts in box_chunks(lo, hi, samples, seed):
         hits += int(np.count_nonzero(mk.contains(pts / alpha) ^ mc.contains(pts / beta)))
     return box_vol * hits / samples
 
@@ -227,8 +199,6 @@ def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple
     low bias an optimizer extracts from its own sample noise.  Warns and
     returns the best iterate if the simplex search hits the iteration cap.
     """
-    if samples <= 0:
-        raise ValueError("best-fit ellipsoid search needs a positive sample count")
     n = body.dim
     vol_k = volume(body)
     alpha = vol_k ** (-1.0 / n)
@@ -238,7 +208,7 @@ def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple
     box_vol = float(np.prod(hi - lo))
     mono = [
         _quadratic_monomials(cloud[memb.contains(cloud / alpha)])
-        for cloud in box_chunks(lo, hi, samples, seed, _CHUNK)
+        for cloud in box_chunks(lo, hi, samples, seed)
     ]
     weight = box_vol / samples
     wn = unit_ball_volume(n)
@@ -388,32 +358,3 @@ def fit_loglog_slope(x, y) -> float:
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit needs positive data")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
-def strip_restricted_diff(
-    k_body: Body,
-    ellipsoid: Ellipsoid,
-    cone: SimplicialCone,
-    strip: Strip,
-    samples: int = 10**6,
-    seed: int = 0,
-) -> float:
-    """MC volume of ``((K delta E) intersect A) minus the strip``.
-
-    The raw (un-normalized) bodies are compared; the strip removes the slab
-    around the hyperplane orthogonal to its direction, which is where the
-    symmetric difference of a body and its section-fitted ellipsoid
-    concentrates.
-    """
-    n = k_body.dim
-    if ellipsoid.dim != n or cone.dim != n or strip.direction.size != n:
-        raise ValueError("inputs live in different dimensions")
-    mk = _membership_body(k_body)
-    hi = np.maximum(mk.bounding_box()[1], ellipsoid.bounding_box()[1])
-    lo = -hi
-    box_vol = float(np.prod(hi - lo))
-    hits = 0
-    for pts in box_chunks(lo, hi, samples, seed, _CHUNK):
-        diff = mk.contains(pts) ^ ellipsoid.contains(pts)
-        hits += int(np.count_nonzero(diff & cone.contains(pts) & ~strip.contains(pts)))
-    return box_vol * hits / samples

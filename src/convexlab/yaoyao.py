@@ -40,7 +40,6 @@ from .geometry import (
 from .moments import rejection_sample
 
 MIN_SAMPLES = 10_000
-_REJECT_CHUNK = 1 << 17
 _AXIS_TOL = 1e-9
 _MASS_CHUNK = 2_000_000
 
@@ -129,7 +128,7 @@ def sample_measure(
     u = u / np.linalg.norm(u)
     n = body.dim
     lo, hi = body.bounding_box()
-    half = rejection_sample(body.contains, lo, hi, n_samples // 2, seed, _REJECT_CHUNK)
+    half = rejection_sample(body.contains, lo, hi, n_samples // 2, seed)
     pts = np.empty((n_samples, n))
     pts[0::2] = half
     pts[1::2] = -half

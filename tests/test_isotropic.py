@@ -15,7 +15,7 @@ from convexlab.geometry import (
     unit_ball_volume,
     write_json,
 )
-from convexlab.isotropic import isotropize, kls_sandwich_check, moment_anisotropy
+from convexlab.isotropic import isotropize, moment_anisotropy
 from convexlab.moments import second_moment_matrix, volume
 
 
@@ -90,19 +90,6 @@ def test_moment_anisotropy_detects_skew():
     mm = second_moment_matrix(random_ellipsoid(2, seed=8))
     off, spread = moment_anisotropy(mm)
     assert max(off, spread) > 1e-3
-
-
-def test_kls_sandwich_on_isotropic_bodies():
-    for seed in range(3):
-        body = random_symmetric_polytope(2, 8, seed=seed)
-        _, image, _ = isotropize(body, normalize="volume")
-        r_in, r_out = kls_sandwich_check(image)
-        assert 0.5 - 1e-9 <= r_in <= r_out <= 2.0 + 1e-9
-
-
-def test_kls_sandwich_rejects_anisotropic():
-    with pytest.raises(ValueError):
-        kls_sandwich_check(random_ellipsoid(2, seed=3))
 
 
 def test_certificate_file(tmp_path):

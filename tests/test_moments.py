@@ -15,6 +15,7 @@ import pytest
 from convexlab.geometry import (
     Ellipsoid,
     LinearMap,
+    SimplicialCone,
     apply_map,
     cross_polytope,
     cube,
@@ -24,11 +25,13 @@ from convexlab.geometry import (
     unit_ball_volume,
     write_json,
 )
-from convexlab import moments
+from convexlab import harness, moments
+from convexlab.isotropic import isotropize
 from convexlab.moments import (
     MomentMatrix,
     ball_functional,
     box_chunks,
+    box_moments,
     mc_second_moment,
     mc_volume,
     reference_ball_moment,
@@ -38,6 +41,7 @@ from convexlab.moments import (
     simplex_volume,
     volume,
 )
+from convexlab.stability import homothetic_distance
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -154,10 +158,11 @@ BOX_HI = np.array([1.0, 0.5, 3.0])
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 49, 50, 64])
-def test_box_chunks_concatenate_to_one_draw(chunk):
+def test_box_chunks_concatenate_to_one_draw(chunk, monkeypatch):
+    monkeypatch.setattr(moments, "MC_CHUNK", chunk)
     n_draws = 50
     whole = np.random.default_rng(4).uniform(BOX_LO, BOX_HI, (n_draws, 3))
-    parts = list(box_chunks(BOX_LO, BOX_HI, n_draws, 4, chunk))
+    parts = list(box_chunks(BOX_LO, BOX_HI, n_draws, 4))
     assert [len(p) for p in parts[:-1]] == [chunk] * (len(parts) - 1)
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
@@ -166,9 +171,11 @@ def _in_unit_ball(pts):
     return np.einsum("ij,ij->i", pts, pts) <= 1.0
 
 
-def test_rejection_sample_independent_of_chunk():
-    a = rejection_sample(_in_unit_ball, BOX_LO, BOX_HI, 300, seed=2, chunk=64)
-    b = rejection_sample(_in_unit_ball, BOX_LO, BOX_HI, 300, seed=2, chunk=1000)
+def test_rejection_sample_independent_of_chunk(monkeypatch):
+    monkeypatch.setattr(moments, "MC_CHUNK", 64)
+    a = rejection_sample(_in_unit_ball, BOX_LO, BOX_HI, 300, seed=2)
+    monkeypatch.setattr(moments, "MC_CHUNK", 1000)
+    b = rejection_sample(_in_unit_ball, BOX_LO, BOX_HI, 300, seed=2)
     assert a.shape == (300, 3)
     assert np.all(_in_unit_ball(a))
     assert a.tobytes() == b.tobytes()
@@ -176,6 +183,7 @@ def test_rejection_sample_independent_of_chunk():
 
 def test_rejection_sample_gives_up(monkeypatch):
     monkeypatch.setattr(moments, "MAX_REJECT_ROUNDS", 3)
+    monkeypatch.setattr(moments, "MC_CHUNK", 16)
     calls = []
 
     def reject_all(pts):
@@ -183,8 +191,82 @@ def test_rejection_sample_gives_up(monkeypatch):
         return np.zeros(len(pts), dtype=bool)
 
     with pytest.raises(ValueError, match="acceptance rate too low"):
-        rejection_sample(reject_all, BOX_LO, BOX_HI, 1, seed=0, chunk=16)
+        rejection_sample(reject_all, BOX_LO, BOX_HI, 1, seed=0)
     assert calls == [16, 16, 16]
+
+
+def test_box_moments_asks_region_only_about_accepted_rows(monkeypatch):
+    monkeypatch.setattr(moments, "MC_CHUNK", 1000)
+    asked = []
+
+    def upper(pts):
+        asked.append(pts.copy())
+        return pts[:, 1] >= 0.2
+
+    u = np.array([0.6, 0.0, 0.8])
+    value, stderr, accepted = box_moments(_in_unit_ball, BOX_LO, BOX_HI, 5000, 3, u[:, None], upper)
+    asked = np.concatenate(asked)
+    assert len(asked) > 0 and np.all(_in_unit_ball(asked))
+
+    pts = np.random.default_rng(3).uniform(BOX_LO, BOX_HI, (5000, 3))
+    inside = _in_unit_ball(pts)
+    assert len(asked) == np.count_nonzero(inside)
+    h2 = (pts[inside & (pts[:, 1] >= 0.2)] @ u) ** 2
+    box_vol = float(np.prod(BOX_HI - BOX_LO))
+    mean = h2.sum() / 5000
+    assert accepted == len(h2)
+    assert value[0, 0] == pytest.approx(box_vol * mean, rel=1e-12)
+    se = box_vol * math.sqrt((np.sum(h2 * h2) / 5000 - mean * mean) / 5000)
+    assert stderr[0, 0] == pytest.approx(se, rel=1e-12)
+
+
+E1 = np.array([1.0, 0.0])
+
+
+def _directional_mc(samples):
+    _, image, cert = isotropize(cube(2), target="polar")
+    return harness.directional_deficit(image, E1, cert, method="mc", samples=samples)
+
+
+# every Monte Carlo route that takes a sample count
+NONPOSITIVE_ROUTES = {
+    "mc_volume": lambda k: mc_volume(cube(2), k, 0),
+    "mc_second_moment": lambda k: mc_second_moment(cube(2), k, 0),
+    "directional_deficit": _directional_mc,
+    "cone_restricted_deficit": lambda k: harness.cone_restricted_deficit(
+        cube(2), E1, SimplicialCone(np.eye(2)), samples=k
+    ),
+    "coordinate_moment": lambda k: harness.OrthantRegion(cube(2)).coordinate_moment(
+        0, method="mc", samples=k
+    ),
+    "homothetic_distance": lambda k: homothetic_distance(cube(2), Ellipsoid.ball(2), samples=k),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("route", sorted(NONPOSITIVE_ROUTES))
+def test_mc_routes_refuse_nonpositive_samples(route, samples):
+    with pytest.raises(ValueError, match="positive sample count"):
+        NONPOSITIVE_ROUTES[route](samples)
+
+
+def test_mc_estimates_independent_of_chunk(monkeypatch):
+    body = random_symmetric_polytope(3, 10, seed=4)
+    u = np.array([0.6, 0.8, 0.0])
+    cone = SimplicialCone(np.array([[1.0, 0.2, 0.1], [0.1, 1.0, 0.3], [0.0, 0.2, 1.0]]))
+    runs = []
+    for chunk in (7, 1 << 16, 10**6):
+        monkeypatch.setattr(moments, "MC_CHUNK", chunk)
+        mm = mc_second_moment(body, 70_000, 5)
+        cone_moment = harness._mc_restricted_moment(body, u, cone.contains, 70_000, 6)
+        runs.append((mm, cone_moment))
+    ref_mm, ref_cone = runs[0]
+    for mm, cone_moment in runs[1:]:
+        # the chunk may change only the order of accumulation
+        assert mm.volume == ref_mm.volume
+        np.testing.assert_allclose(mm.matrix, ref_mm.matrix, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mm.stderr, ref_mm.stderr, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cone_moment, ref_cone, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from convexlab.geometry import (
-    Ellipsoid,
     LinearMap,
-    SimplicialCone,
     apply_map,
     cross_polytope,
     cube,
@@ -18,7 +16,6 @@ from convexlab.geometry import (
 from convexlab.moments import volume
 from convexlab.stability import (
     StabilityRecord,
-    Strip,
     _count_inside,
     _quadratic_monomials,
     _sym_expm,
@@ -29,11 +26,7 @@ from convexlab.stability import (
     kt_family,
     kt_sweep,
     save_records_csv,
-    strip_restricted_diff,
 )
-
-E1 = np.array([1.0, 0.0])
-
 
 def square_disk_distance() -> float:
     """|K~ delta E~| for the square against the disk, both at volume 1.
@@ -260,40 +253,3 @@ def test_records_csv_format(tmp_path):
     path2 = tmp_path / "sweep2.csv"
     save_records_csv(path2, kt_sweep(2, [0.05, 0.10], samples=100_000, seed=1), meta={"seed": 1})
     assert path.read_bytes() == path2.read_bytes()
-
-
-# ---------------------------------------------------------------------------
-# strip-restricted symmetric difference
-# ---------------------------------------------------------------------------
-
-
-def test_strip_validation():
-    s = Strip(np.array([2.0, 0.0]), 0.5)
-    np.testing.assert_allclose(s.direction, E1, atol=1e-12)
-    assert s.contains(np.array([0.3, 5.0]))
-    assert not s.contains(np.array([0.6, 0.0]))
-    with pytest.raises(ValueError):
-        Strip(E1, 0.0)
-
-
-def test_strip_diff_zero_when_equal(disk):
-    cone = SimplicialCone(np.eye(2))
-    strip = Strip(E1, 0.1)
-    val = strip_restricted_diff(disk, Ellipsoid.ball(2), cone, strip, samples=100_000, seed=0)
-    assert val == pytest.approx(0.0, abs=1e-12)
-
-
-def test_strip_diff_monotone_in_width(square, disk):
-    cone = SimplicialCone(np.eye(2))
-    narrow = Strip(E1, 0.05)
-    wide = Strip(E1, 0.4)
-    v_narrow = strip_restricted_diff(square, disk, cone, narrow, samples=300_000, seed=1)
-    v_wide = strip_restricted_diff(square, disk, cone, wide, samples=300_000, seed=1)
-    assert v_wide <= v_narrow + 1e-9
-
-
-def test_strip_diff_swallowed_by_huge_strip(square, disk):
-    cone = SimplicialCone(np.eye(2))
-    everything = Strip(E1, 50.0)
-    val = strip_restricted_diff(square, disk, cone, everything, samples=100_000, seed=2)
-    assert val == pytest.approx(0.0, abs=1e-12)
