@@ -11,10 +11,10 @@ error, 2 inequality violation, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -207,12 +207,18 @@ def _verify_directional(body, args, reports) -> None:
         )
 
 
-def _verify_cones(body, args, reports) -> None:
-    n = body.dim
+def _equipartition(measure_body, args):
+    """``(u, partition)``: u from ``--direction`` (default e_1), and the Yao-Yao
+    partition of the ``<x, u>^2`` measure of ``measure_body``."""
+    n = measure_body.dim
     u = _parse_direction(args.direction, n) if args.direction else np.eye(n)[0]
+    cloud = sample_measure(measure_body, u, args.samples, seed=args.seed)
+    return u, yao_yao_equipartition(cloud, mass_tol=args.mass_tol)
+
+
+def _verify_cones(body, args, reports) -> None:
     _, iso, _ = isotropize(body, target="polar")
-    cloud = sample_measure(polar(iso), u, args.samples, seed=args.seed)
-    part = yao_yao_equipartition(cloud, mass_tol=args.mass_tol)
+    u, part = _equipartition(polar(iso), args)
     for k, cone in enumerate(dual_partition(part)):
         reports.append(
             cone_restricted_deficit(iso, u, cone, samples=args.samples, seed=args.seed + 10 + k)
@@ -223,12 +229,9 @@ def _verify_cones(body, args, reports) -> None:
 
 
 def _verify_pl(body, args, reports) -> None:
-    n = body.dim
-    u = _parse_direction(args.direction, n) if args.direction else np.eye(n)[0]
-    cloud = sample_measure(body, u, args.samples, seed=args.seed)
-    part = yao_yao_equipartition(cloud, mass_tol=args.mass_tol)
+    _, part = _equipartition(body, args)
     pairs = min(args.samples, 10**5)
-    for index in range(2**n):
+    for index in range(2**body.dim):
         x_region, y_region, _ = orthant_pair(body, part, index)
         reports.append(
             pl_triple_check(x_region, y_region, pairs=pairs, seed=args.seed + index)
@@ -251,16 +254,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _verify_pl(body, args, reports)
     if args.tol is not None:
         reports = [
-            type(rep)(
-                name=rep.name,
-                lhs=rep.lhs,
-                rhs=rep.rhs,
-                deficit=rep.deficit,
-                tolerance=max(rep.tolerance, args.tol),
-                method=rep.method,
-                metadata=rep.metadata,
-            )
-            for rep in reports
+            dataclasses.replace(rep, tolerance=max(rep.tolerance, args.tol)) for rep in reports
         ]
     for rep in reports:
         _print_report(rep)
@@ -275,9 +269,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_yaoyao(args: argparse.Namespace) -> int:
     body = load_body(args.body)
     n = body.dim
-    u = _parse_direction(args.direction, n) if args.direction else np.eye(n)[0]
-    cloud = sample_measure(body, u, args.samples, seed=args.seed)
-    part = yao_yao_equipartition(cloud, mass_tol=args.mass_tol)
+    u, part = _equipartition(body, args)
     fractions = part.mass_fractions
     target = 2.0**-n
     worst = float(np.max(np.abs(fractions / target - 1.0)))
@@ -294,9 +286,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     if args.what != "kt-sweep":
         raise ValueError(f"unknown stability experiment {args.what!r}")
     t_values = _parse_t_values(args.t)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        records = kt_sweep(args.dim, t_values, samples=args.samples, seed=args.seed)
+    records = kt_sweep(args.dim, t_values, samples=args.samples, seed=args.seed)
     if args.out:
         save_records_csv(args.out, records, meta=_run_config(args))
         print(f"wrote {len(records)} records to {args.out}")
@@ -309,7 +299,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
         ts = [r.t for r in records]
         print(f"slope(deficit_santalo) = {fit_loglog_slope(ts, [r.deficit_santalo for r in records]):.4f}")
         print(f"slope(A_dist)          = {fit_loglog_slope(ts, [r.A_dist for r in records]):.4f}")
-    stalled = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    stalled = [rec for rec in records if not rec.fit_converged]
     if stalled:
         print(f"{len(stalled)} ellipsoid fit(s) hit the iteration cap", file=sys.stderr)
         return EXIT_NONCONVERGED

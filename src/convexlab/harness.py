@@ -48,7 +48,7 @@ from .moments import (
     second_moment_matrix,
     volume,
 )
-from .yaoyao import YaoYaoPartition, cone_to_orthant, shear_partition
+from .yaoyao import YaoYaoPartition, cone_to_orthant, shear_cone
 
 EXACT_TOL = 1e-8
 # Number of MC standard errors below zero a deficit may sit before failing.
@@ -88,7 +88,6 @@ class DeficitReport:
         return True
 
     def to_json_dict(self) -> dict:
-        meta = {k: v for k, v in self.metadata.items()}
         return {
             "name": self.name,
             "lhs": self.lhs,
@@ -97,7 +96,7 @@ class DeficitReport:
             "tolerance": self.tolerance,
             "method": self.method,
             "passed": self.passed,
-            "metadata": meta,
+            "metadata": dict(self.metadata),
         }
 
 
@@ -139,6 +138,45 @@ def save_reports_csv(path, reports, meta: dict | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
+# body/polar pairs
+# ---------------------------------------------------------------------------
+
+
+def _pair(body: Body, seed: int, estimate, polar_estimate=None):
+    """``estimate(K, seed)`` and ``polar_estimate(K*, seed + 1)``.
+
+    Every product of a K-side and a K*-side quantity in this module is
+    evaluated here, so the polar side always draws from the seed after the
+    body's.  ``polar_estimate`` defaults to ``estimate``.
+    """
+    return estimate(body, seed), (polar_estimate or estimate)(polar(body), seed + 1)
+
+
+def _product_stderr(a, sa, b, sb) -> float | None:
+    """Standard error of ``a * b`` from independent errors ``sa`` and ``sb``.
+
+    None when both factors are exact (both errors None).
+    """
+    if sa is None and sb is None:
+        return None
+    return math.hypot(b * (sa or 0.0), a * (sb or 0.0))
+
+
+def _trace_stderr(mm) -> float | None:
+    """Standard error of ``tr M`` from the per-entry errors; None on the exact route."""
+    if mm.stderr is None:
+        return None
+    return float(np.sqrt(np.sum(np.diag(mm.stderr) ** 2)))
+
+
+def _moment_pair(body: Body, method: str, samples: int, seed: int):
+    """``(M(K), M(K*))``; on the MC route each carries per-entry standard errors."""
+    return _pair(
+        body, seed, lambda b, s: second_moment_matrix(b, method=method, samples=samples, seed=s)
+    )
+
+
+# ---------------------------------------------------------------------------
 # global inequalities
 # ---------------------------------------------------------------------------
 
@@ -150,34 +188,22 @@ def santalo_deficit(
     n = body.dim
     rhs = unit_ball_volume(n) ** 2
     if method == "mc":
-        vk, sk = mc_volume(body, samples, seed)
-        vp, sp = mc_volume(polar(body), samples, seed + 1)
-        sigma = math.hypot(vp * sk, vk * sp)
-        meta = {
-            "seed": seed,
-            "samples": samples,
-            "volume": vk,
-            "volume_polar": vp,
-            "stderr": sigma,
-        }
-        return _report("santalo", vk * vp, rhs, MC_SIGMAS * sigma, "mc", meta)
-    vk = volume(body)
-    vp = volume(polar(body))
-    meta = {"seed": None, "volume": vk, "volume_polar": vp}
-    return _report("santalo", vk * vp, rhs, EXACT_TOL, "exact", meta)
-
-
-def _trace_product(body: Body, method: str, samples: int, seed: int):
-    """tr(M(K) M(K*)) with a propagated standard error on the MC route."""
-    mk = second_moment_matrix(body, method=method, samples=samples, seed=seed)
-    mp = second_moment_matrix(polar(body), method=method, samples=samples, seed=seed + 1)
-    value = float(np.sum(mk.matrix * mp.matrix))
-    if mk.stderr is None and mp.stderr is None:
-        return value, None, mk, mp
-    sk = mk.stderr if mk.stderr is not None else 0.0
-    sp = mp.stderr if mp.stderr is not None else 0.0
-    sigma = float(np.sqrt(np.sum((mp.matrix * sk) ** 2) + np.sum((mk.matrix * sp) ** 2)))
-    return value, sigma, mk, mp
+        estimate = lambda b, s: mc_volume(b, samples, s)
+    else:
+        estimate = lambda b, s: (volume(b), None)
+    (vk, sk), (vp, sp) = _pair(body, seed, estimate)
+    sigma = _product_stderr(vk, sk, vp, sp)
+    if sigma is None:
+        meta = {"seed": None, "volume": vk, "volume_polar": vp}
+        return _report("santalo", vk * vp, rhs, EXACT_TOL, "exact", meta)
+    meta = {
+        "seed": seed,
+        "samples": samples,
+        "volume": vk,
+        "volume_polar": vp,
+        "stderr": sigma,
+    }
+    return _report("santalo", vk * vp, rhs, MC_SIGMAS * sigma, "mc", meta)
 
 
 def ball_deficit(
@@ -186,27 +212,21 @@ def ball_deficit(
     """Trace-product deficit ``n (omega_n/(n+2))^2 - tr(M(K) M(K*))``.
 
     The right-hand side is the ellipsoid value; the functional is invariant
-    under invertible linear images of the body.
+    under invertible linear images of the body.  On the MC route the
+    tolerance propagates the per-entry standard errors of both matrices.
     """
     n = body.dim
     rhs = n * reference_ball_moment(n) ** 2
-    lhs, sigma, mk, mp = _trace_product(body, method, samples, seed)
-    if sigma is None:
+    mk, mp = _moment_pair(body, method, samples, seed)
+    lhs = float(np.sum(mk.matrix * mp.matrix))
+    if mk.stderr is None:
         meta = {"seed": None, "trace": mk.trace, "trace_polar": mp.trace}
         return _report("ball", lhs, rhs, EXACT_TOL, "exact", meta)
+    sigma = float(
+        np.sqrt(np.sum((mp.matrix * mk.stderr) ** 2) + np.sum((mk.matrix * mp.stderr) ** 2))
+    )
     meta = {"seed": seed, "samples": samples, "stderr": sigma}
     return _report("ball", lhs, rhs, MC_SIGMAS * sigma, "mc", meta)
-
-
-def directional_product(
-    body: Body, u: np.ndarray, method: str = "auto", samples: int = 10**6, seed: int = 0
-) -> float:
-    """``(u^T M(K) u) * (u^T M(K*) u)`` for unit u."""
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    mk = second_moment_matrix(body, method=method, samples=samples, seed=seed)
-    mp = second_moment_matrix(polar(body), method=method, samples=samples, seed=seed + 1)
-    return float((u @ mk.matrix @ u) * (u @ mp.matrix @ u))
 
 
 def directional_deficit(
@@ -219,11 +239,12 @@ def directional_deficit(
 ) -> DeficitReport:
     """Per-direction moment-product deficit for an isotropic body/polar pair.
 
-    Requires the certificate produced by ``isotropize`` (the inequality is
-    stated for bodies whose polar -- equivalently the body itself -- is
-    isotropic); refuses to run without one.  On the Monte Carlo route both
-    directional integrals are rejection-sampled and the tolerance is four
-    standard errors of their product.
+    The product is ``int_K <x,u>^2 * int_{K*} <x,u>^2``.  Requires the
+    certificate produced by ``isotropize`` (the inequality is stated for
+    bodies whose polar -- equivalently the body itself -- is isotropic);
+    refuses to run without one.  On the Monte Carlo route both directional
+    integrals are rejection-sampled and the tolerance is four standard errors
+    of their product.
     """
     if certificate is None:
         raise ValueError(
@@ -246,11 +267,13 @@ def directional_deficit(
         "off_diag_rel": certificate.off_diag_rel,
     }
     if method != "mc":
-        lhs = directional_product(body, u, method=method, samples=samples, seed=seed)
+        mk, mp = _moment_pair(body, method, samples, seed)
+        lhs = (u @ mk.matrix @ u) * (u @ mp.matrix @ u)
         return _report("directional", lhs, rhs, EXACT_TOL, "exact", meta)
-    i1, se1 = _mc_restricted_moment(body, u, None, samples, seed)
-    i2, se2 = _mc_restricted_moment(polar(body), u, None, samples, seed + 1)
-    sigma = math.hypot(i2 * se1, i1 * se2)
+    (i1, se1), (i2, se2) = _pair(
+        body, seed, lambda b, s: _mc_restricted_moment(b, u, None, samples, s)
+    )
+    sigma = _product_stderr(i1, se1, i2, se2)
     meta.update(samples=samples, stderr=sigma)
     return _report("directional", i1 * i2, rhs, MC_SIGMAS * sigma, "mc", meta)
 
@@ -286,11 +309,15 @@ def cone_restricted_deficit(
     u = np.asarray(u, dtype=float)
     u = u / np.linalg.norm(u)
     dual = dual_cone(cone)
-    i1, se1 = _mc_restricted_moment(body, u, cone.contains, samples, seed)
-    i2, se2 = _mc_restricted_moment(polar(body), u, dual.contains, samples, seed + 1)
+    (i1, se1), (i2, se2) = _pair(
+        body,
+        seed,
+        lambda b, s: _mc_restricted_moment(b, u, cone.contains, samples, s),
+        lambda b, s: _mc_restricted_moment(b, u, dual.contains, samples, s),
+    )
     lhs = i1 * i2
     rhs = 4.0 ** (-n) * reference_ball_moment(n) ** 2
-    sigma = math.hypot(i2 * se1, i1 * se2)
+    sigma = _product_stderr(i1, se1, i2, se2)
     meta = {
         "seed": seed,
         "samples": samples,
@@ -453,10 +480,7 @@ def orthant_pair(
     valid input pair for ``pl_triple_check`` with coordinate 0.
     """
     u = partition.base_direction
-    cone = partition.cones[index]
-    shear, sheared = shear_partition(partition)[index]
-    heights = u @ cone.generators
-    sigma = math.copysign(1.0, heights[int(np.argmax(np.abs(heights)))])
+    sigma, shear, sheared = shear_cone(u, partition.cones[index])
     straighten = cone_to_orthant(sheared, sigma * u)
     rotate = orthonormal_basis(sigma * u).T
     w = LinearMap(rotate @ straighten.matrix @ shear.matrix)
@@ -523,13 +547,11 @@ def pl_triple_check(
         h_log = 2 * np.log(mi[:, i]) + np.log(mi).sum(axis=1)
         log_residual = float(np.max(np.abs(h_log - 0.5 * (f_log + g_log))))
 
-    if f_se is None and g_se is None:
+    sigma = _product_stderr(f_int, f_se, g_int, g_se)
+    if sigma is None:
         method, tol = "exact", EXACT_TOL
     else:
-        method = "mc"
-        sf = f_se or 0.0
-        sg = g_se or 0.0
-        tol = MC_SIGMAS * math.hypot(g_int * sf, f_int * sg)
+        method, tol = "mc", MC_SIGMAS * sigma
     meta = {
         "seed": seed,
         "pairs": pairs,
@@ -561,24 +583,23 @@ def chain_consistency(
     meaningful when M(K) is a multiple of the identity).
     """
     n = body.dim
-    mk = second_moment_matrix(body, method=method, samples=samples, seed=seed)
-    mp = second_moment_matrix(polar(body), method=method, samples=samples, seed=seed + 1)
+    mk, mp = _moment_pair(body, method, samples, seed)
     gamma = (n + 2) * unit_ball_volume(n) ** (2.0 / n) / n
     lhs = (mk.volume * mp.volume) ** ((n + 2.0) / n)
     rhs = gamma * gamma * mk.trace * mp.trace
     trace_product = mk.trace * mp.trace
     functional = float(np.sum(mk.matrix * mp.matrix))
     identity_gap = abs(trace_product - n * functional) / max(trace_product, 1e-300)
-    exact = mk.stderr is None and mp.stderr is None
-    tol = EXACT_TOL * max(1.0, abs(rhs))
-    if not exact:
-        se_tr_k = float(np.sqrt(np.sum(np.diag(mk.stderr) ** 2))) if mk.stderr is not None else 0.0
-        se_tr_p = float(np.sqrt(np.sum(np.diag(mp.stderr) ** 2))) if mp.stderr is not None else 0.0
-        tol = MC_SIGMAS * gamma * gamma * math.hypot(mp.trace * se_tr_k, mk.trace * se_tr_p)
+    sigma = _product_stderr(mk.trace, _trace_stderr(mk), mp.trace, _trace_stderr(mp))
+    if sigma is None:
+        tol = EXACT_TOL * max(1.0, abs(rhs))
+    else:
+        tol = MC_SIGMAS * gamma * gamma * sigma
     meta = {
-        "seed": None if exact else seed,
+        "seed": None if sigma is None else seed,
         "identity_rel_gap": identity_gap,
         "trace_product": trace_product,
         "gamma": gamma,
     }
-    return _report("chain", lhs, rhs, tol, "exact" if exact else "mc", meta)
+    return _report("chain", lhs, rhs, tol, "exact" if sigma is None else "mc", meta)
+

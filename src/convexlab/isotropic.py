@@ -97,13 +97,7 @@ def isotropize(
         map=smap,
         off_diag_rel=off,
         diag_spread_rel=spread,
-        volume_after=_volume_of(cert_body, mm_after),
+        volume_after=volume(cert_body),
     )
     return smap, image, cert
 
-
-def _volume_of(body: Body, mm: MomentMatrix) -> float:
-    try:
-        return volume(body)
-    except TypeError:
-        return mm.volume

@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize
@@ -22,7 +21,7 @@ from .geometry import (
     Body,
     Ellipsoid,
     SymmetricHPolytope,
-    polar,
+    polar,  # not used here; perfbench/test_checks.py asserts the tracer rebinds it
     symmetric_direction_grid,
     unit_ball_volume,
 )
@@ -46,7 +45,8 @@ MAX_FIT_ITER = 500
 
 @dataclass(frozen=True)
 class StabilityRecord:
-    """One sweep entry: deficits, ellipsoid distance, and their ratio at a given t."""
+    """One sweep entry: deficits, ellipsoid distance, their ratio at a given t,
+    and whether the best-fit search converged and in how many evaluations."""
 
     t: float
     vol_K: float
@@ -57,36 +57,18 @@ class StabilityRecord:
     ratio: float
     samples: int
     seed: int
+    fit_converged: bool
+    fit_evals: int
 
     def __post_init__(self):
         if self.A_dist < 0:
             raise ValueError("homothetic distance cannot be negative")
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "vol_K": self.vol_K,
-            "vol_polar": self.vol_polar,
-            "deficit_santalo": self.deficit_santalo,
-            "deficit_ball": self.deficit_ball,
-            "A_dist": self.A_dist,
-            "ratio": self.ratio,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
-_CSV_COLUMNS = (
-    "t",
-    "vol_K",
-    "vol_polar",
-    "deficit_santalo",
-    "deficit_ball",
-    "A_dist",
-    "ratio",
-    "samples",
-    "seed",
-)
+_CSV_COLUMNS = tuple(f.name for f in fields(StabilityRecord))
 
 
 def save_records_csv(path, records, meta: dict | None = None) -> None:
@@ -98,9 +80,10 @@ def save_records_csv(path, records, meta: dict | None = None) -> None:
         writer.writerow(_CSV_COLUMNS)
         for rec in records:
             row = rec.to_json_dict()
+            # integers as written, fit_converged as 1/0: every cell parses as a number
             writer.writerow(
                 [
-                    "%.10g" % row[c] if isinstance(row[c], float) else str(row[c])
+                    "%.10g" % row[c] if isinstance(row[c], float) else str(int(row[c]))
                     for c in _CSV_COLUMNS
                 ]
             )
@@ -175,7 +158,9 @@ def _count_inside(mono: list[np.ndarray], q: np.ndarray, level: float) -> int:
     return sum(int(np.count_nonzero(block @ w <= level)) for block in mono)
 
 
-def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple[Ellipsoid, float]:
+def best_fit_ellipsoid(
+    body: Body, samples: int = 10**6, seed: int = 0
+) -> tuple[Ellipsoid, float, bool, int]:
     """Locally best o-symmetric ellipsoid under the homothetic distance.
 
     The shape matrix is parametrized as ``expm(S)`` with S symmetric
@@ -194,10 +179,13 @@ def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple
     the quadratic form ``x^T q x``, so only a point within a few ulps of the
     boundary could be counted differently.
 
-    Returns the fitted ellipsoid (scaled to ``|E| = |K|``) and a fresh-seed
-    re-evaluation of A(K, E) at the optimum -- the re-evaluation avoids the
-    low bias an optimizer extracts from its own sample noise.  Warns and
-    returns the best iterate if the simplex search hits the iteration cap.
+    Returns ``(ellipsoid, distance, converged, evals)``: the fitted
+    ellipsoid (scaled to ``|E| = |K|``), a fresh-seed re-evaluation of
+    A(K, E) at the optimum -- the re-evaluation avoids the low bias an
+    optimizer extracts from its own sample noise -- and the outcome of the
+    simplex search: whether it converged within ``MAX_FIT_ITER`` iterations
+    and how many objective evaluations it made.  A search that hits the cap
+    still returns its best iterate.
     """
     n = body.dim
     vol_k = volume(body)
@@ -235,17 +223,11 @@ def best_fit_ellipsoid(body: Body, samples: int = 10**6, seed: int = 0) -> tuple
             "initial_simplex": sim,
         },
     )
-    if not res.success:
-        warnings.warn(
-            "best-fit ellipsoid search hit the iteration cap; returning the best iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     q = _sym_expm(_sym_from_vec(res.x, n))
     scale = (wn / (vol_k * math.sqrt(np.linalg.det(q)))) ** (2.0 / n)
     ell = Ellipsoid(scale * q)
     a_est = homothetic_distance(body, ell, samples=samples, seed=seed + 7919)
-    return ell, float(a_est)
+    return ell, float(a_est), bool(res.success), int(res.nfev)
 
 
 def _bump_profile(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
@@ -332,7 +314,7 @@ def kt_sweep(
         body = kt_family(n, t)
         san = santalo_deficit(body, method="exact")
         bal = ball_deficit(body, method="exact")
-        _, a_dist = best_fit_ellipsoid(body, samples=samples, seed=seed + k)
+        _, a_dist, converged, evals = best_fit_ellipsoid(body, samples=samples, seed=seed + k)
         records.append(
             StabilityRecord(
                 t=t,
@@ -344,6 +326,8 @@ def kt_sweep(
                 ratio=san.deficit / a_dist**2,
                 samples=int(samples),
                 seed=int(seed + k),
+                fit_converged=converged,
+                fit_evals=evals,
             )
         )
     return records

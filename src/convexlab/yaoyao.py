@@ -587,14 +587,20 @@ def shear_partition(partition: YaoYaoPartition) -> list[tuple[LinearMap, Simplic
     Upper and lower cones that share an axis receive the same shear matrix.
     """
     u = partition.base_direction
-    out = []
-    for cone in partition.cones:
-        heights = u @ cone.generators
-        j = int(np.argmax(np.abs(heights)))
-        sigma = math.copysign(1.0, heights[j])
-        shear = shear_to_axis(sigma * u, cone.generators[:, j])
-        out.append((shear, SimplicialCone(shear.matrix @ cone.generators)))
-    return out
+    return [shear_cone(u, cone)[1:] for cone in partition.cones]
+
+
+def shear_cone(u: np.ndarray, cone: SimplicialCone) -> tuple[float, LinearMap, SimplicialCone]:
+    """``(sigma, shear, sheared cone)`` for one partition cone about u.
+
+    The axis generator is the one of largest |height| over u, sigma the sign
+    of that height, and the shear sends it onto ``sigma * u``.
+    """
+    heights = u @ cone.generators
+    j = int(np.argmax(np.abs(heights)))
+    sigma = math.copysign(1.0, heights[j])
+    shear = shear_to_axis(sigma * u, cone.generators[:, j])
+    return sigma, shear, SimplicialCone(shear.matrix @ cone.generators)
 
 
 def dual_partition(partition: YaoYaoPartition) -> tuple[SimplicialCone, ...]:

@@ -177,6 +177,24 @@ def test_stability_sweep(tmp_path, capsys):
     assert "slope(deficit_santalo)" in capsys.readouterr().out
 
 
+def test_stability_stalled_fit_exit_code(tmp_path, monkeypatch, capsys):
+    """A fit stopped by the iteration cap is recorded in the CSV and exits 3."""
+    import csv
+
+    from convexlab import stability
+
+    monkeypatch.setattr(stability, "MAX_FIT_ITER", 1)
+    out = tmp_path / "sweep.csv"
+    code = run("stability", "kt-sweep", "--dim", "2", "--t", "0.05",
+               "--samples", "20000", "--out", str(out))
+    assert code == 3
+    with open(out, newline="") as fh:
+        (row,) = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert row["fit_converged"] == "0"
+    assert int(row["fit_evals"]) > 0
+    assert "1 ellipsoid fit(s) hit the iteration cap" in capsys.readouterr().err
+
+
 def test_stability_single_t(capsys):
     assert run("stability", "kt-sweep", "--dim", "2", "--t", "0.05",
                "--samples", "100000") == 0

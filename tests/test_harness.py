@@ -22,11 +22,13 @@ from convexlab.geometry import (
     apply_map,
     cross_polytope,
     cube,
+    dual_cone,
     polar,
     random_ellipsoid,
     random_symmetric_polytope,
 )
 from convexlab.harness import (
+    MC_SIGMAS,
     DeficitReport,
     OrthantRegion,
     ball_deficit,
@@ -34,14 +36,15 @@ from convexlab.harness import (
     cone_restricted_deficit,
     cone_sum_reconstruction,
     directional_deficit,
-    directional_product,
     orthant_pair,
     pl_triple_check,
     santalo_deficit,
     save_reports_csv,
     save_reports_jsonl,
+    _mc_restricted_moment,
 )
 from convexlab.isotropic import isotropize
+from convexlab.moments import mc_volume, second_moment_matrix
 from convexlab.yaoyao import dual_partition, sample_measure, yao_yao_equipartition
 
 E1 = np.array([1.0, 0.0])
@@ -123,6 +126,8 @@ def test_directional_square_axes(square):
     # the square's polar is isotropic already, so the certificate is clean
     _, iso, cert = isotropize(square, target="polar")
     rep = directional_deficit(iso, E1, cert)
+    # int_K x1^2 * int_{K*} x1^2 = (4/3)(1/3), unchanged by the scaling to iso
+    assert rep.lhs == pytest.approx(4.0 / 9.0, abs=1e-12)
     assert rep.rhs == pytest.approx((math.pi / 4.0) ** 2, abs=1e-12)
     assert rep.passed
 
@@ -158,12 +163,6 @@ def test_directional_rejects_bad_certificate(square):
     )
     with pytest.raises(ValueError, match="isotropy"):
         directional_deficit(square, E1, fake)
-
-
-def test_directional_product_square(square):
-    # int_K x1^2 * int_{K*} x1^2 = (4/3)(1/3)
-    val = directional_product(square, E1)
-    assert val == pytest.approx(4.0 / 9.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -350,3 +349,71 @@ def test_report_files(tmp_path, square):
     assert rows[0] == '# {"seed": 0}'
     assert rows[1].startswith("name,lhs,rhs,deficit")
     assert rows[2].split(",")[0] == "santalo"
+
+
+# ---------------------------------------------------------------------------
+# the MC error rule: tolerance = MC_SIGMAS * stderr of the product
+# ---------------------------------------------------------------------------
+
+MC_N = 40_000
+
+
+def _santalo_factors():
+    body = random_symmetric_polytope(2, 8, seed=3)
+    rep = santalo_deficit(body, method="mc", samples=MC_N, seed=4)
+    (a, sa), (b, sb) = mc_volume(body, MC_N, 4), mc_volume(polar(body), MC_N, 5)
+    assert (a, b) == (rep.metadata["volume"], rep.metadata["volume_polar"])
+    return rep, (a, sa, b, sb), 1.0
+
+
+def _chain_factors():
+    body = random_symmetric_polytope(3, 8, seed=3)
+    rep = chain_consistency(body, method="mc", samples=MC_N, seed=6)
+    mk, mp = (second_moment_matrix(b, method="mc", samples=MC_N, seed=s)
+              for b, s in ((body, 6), (polar(body), 7)))
+    se_k, se_p = (math.sqrt(float(np.sum(np.diag(m.stderr) ** 2))) for m in (mk, mp))
+    assert mk.trace * mp.trace == rep.metadata["trace_product"]
+    return rep, (mk.trace, se_k, mp.trace, se_p), rep.metadata["gamma"] ** 2
+
+
+def _directional_factors():
+    _, iso, cert = isotropize(random_ellipsoid(3, seed=5), target="polar")
+    u = np.array([0.6, 0.0, 0.8])
+    rep = directional_deficit(iso, u, cert, method="mc", samples=MC_N, seed=8)
+    a, sa = _mc_restricted_moment(iso, u, None, MC_N, 8)
+    b, sb = _mc_restricted_moment(polar(iso), u, None, MC_N, 9)
+    assert a * b == rep.lhs
+    return rep, (a, sa, b, sb), 1.0
+
+
+def _cone_factors():
+    _, iso, _ = isotropize(random_symmetric_polytope(2, 8, seed=1), target="polar")
+    part = yao_yao_equipartition(sample_measure(polar(iso), E1, MC_N, seed=1))
+    cone = dual_partition(part)[1]
+    rep = cone_restricted_deficit(iso, E1, cone, samples=MC_N, seed=2)
+    m = rep.metadata
+    factors = (m["integral_body"], m["stderr_body"], m["integral_polar"], m["stderr_polar"])
+    # the cone cuts K, its dual cuts K*
+    assert factors[:2] == _mc_restricted_moment(iso, E1, cone.contains, MC_N, 2)
+    assert factors[2:] == _mc_restricted_moment(polar(iso), E1, dual_cone(cone).contains, MC_N, 3)
+    return rep, factors, 1.0
+
+
+def _pl_factors():
+    # a rotated ellipse: its orthant moments have no exact route
+    e = Ellipsoid(np.array([[2.0, 0.7], [0.7, 1.0]]))
+    rep = pl_triple_check(OrthantRegion(e), OrthantRegion(polar(e)), pairs=5_000, seed=3,
+                          moment_samples=MC_N)
+    m = rep.metadata
+    return rep, (m["integral_f"], m["stderr_f"], m["integral_g"], m["stderr_g"]), 1.0
+
+
+@pytest.mark.parametrize("factors", [
+    _santalo_factors, _chain_factors, _directional_factors, _cone_factors, _pl_factors,
+], ids=["santalo", "chain", "directional", "cone-restricted", "pl"])
+def test_mc_tolerance_is_propagated_product_error(factors):
+    """Every MC check's tolerance is MC_SIGMAS standard errors of its product,
+    hypot(b * s_a, a * s_b), with the polar side drawn from the next seed."""
+    rep, (a, sa, b, sb), scale = factors()
+    assert rep.method == "mc"
+    assert rep.tolerance == pytest.approx(MC_SIGMAS * scale * math.hypot(b * sa, a * sb), rel=1e-12)

@@ -29,7 +29,6 @@ from convexlab import harness, moments
 from convexlab.isotropic import isotropize
 from convexlab.moments import (
     MomentMatrix,
-    ball_functional,
     box_chunks,
     box_moments,
     mc_second_moment,
@@ -267,25 +266,6 @@ def test_mc_estimates_independent_of_chunk(monkeypatch):
         np.testing.assert_allclose(mm.matrix, ref_mm.matrix, rtol=1e-12, atol=0)
         np.testing.assert_allclose(mm.stderr, ref_mm.stderr, rtol=1e-12, atol=0)
         np.testing.assert_allclose(cone_moment, ref_cone, rtol=1e-12, atol=0)
-
-
-# ---------------------------------------------------------------------------
-# ball functional
-# ---------------------------------------------------------------------------
-
-
-def test_ball_functional_cube_exact(square):
-    # tr(M(K) M(K*)) for the square: (4/3)(1/3) * 2 = 8/9
-    assert ball_functional(square) == pytest.approx(8.0 / 9.0, abs=1e-12)
-
-
-def test_ball_functional_unit_ball():
-    assert ball_functional(Ellipsoid.ball(2)) == pytest.approx(math.pi**2 / 8.0, abs=1e-12)
-
-
-def test_ball_functional_linear_invariance(square):
-    t = LinearMap(np.array([[1.1, 0.6], [0.0, 0.9]]))
-    assert ball_functional(apply_map(t, square)) == pytest.approx(8.0 / 9.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

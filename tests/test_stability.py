@@ -81,14 +81,15 @@ def test_homothetic_deterministic(square, disk):
 
 def test_fit_recovers_ellipsoid():
     e = random_ellipsoid(2, seed=5)
-    fit, dist = best_fit_ellipsoid(e, samples=400_000, seed=0)
+    fit, dist, converged, evals = best_fit_ellipsoid(e, samples=400_000, seed=0)
     assert dist < 5e-3
+    assert converged and 0 < evals
 
 
 def test_fit_square_known_value(square):
     """The optimum over ellipses is the disk-like fit with A about 0.18;
     anything above the crude 0.1 mark means the fit is not degenerate."""
-    fit, dist = best_fit_ellipsoid(square, samples=400_000, seed=1)
+    fit, dist, _, _ = best_fit_ellipsoid(square, samples=400_000, seed=1)
     assert 0.1 < dist < 0.25
     # |E| is matched to |K|
     assert volume(fit) == pytest.approx(4.0, rel=5e-2)
@@ -96,14 +97,14 @@ def test_fit_square_known_value(square):
 
 def test_fit_shear_invariance(square):
     sheared = apply_map(LinearMap(np.array([[1.0, 0.6], [0.0, 1.0]])), square)
-    _, a = best_fit_ellipsoid(square, samples=300_000, seed=2)
-    _, b = best_fit_ellipsoid(sheared, samples=300_000, seed=2)
+    _, a, _, _ = best_fit_ellipsoid(square, samples=300_000, seed=2)
+    _, b, _, _ = best_fit_ellipsoid(sheared, samples=300_000, seed=2)
     assert a == pytest.approx(b, abs=0.02)
 
 
 def test_fit_bounds_homothetic_distance(square, disk):
     # the fitted ellipsoid can only do better than the unit disk
-    _, fitted = best_fit_ellipsoid(square, samples=300_000, seed=3)
+    _, fitted, _, _ = best_fit_ellipsoid(square, samples=300_000, seed=3)
     direct = homothetic_distance(square, disk, samples=300_000, seed=3)
     assert fitted <= direct + 5e-3
 
@@ -237,7 +238,7 @@ def test_stability_record_validation():
     with pytest.raises(ValueError):
         StabilityRecord(
             t=0.1, vol_K=1.0, vol_polar=1.0, deficit_santalo=0.0, deficit_ball=0.0,
-            A_dist=-0.1, ratio=0.0, samples=10, seed=0,
+            A_dist=-0.1, ratio=0.0, samples=10, seed=0, fit_converged=True, fit_evals=1,
         )
 
 
@@ -247,8 +248,16 @@ def test_records_csv_format(tmp_path):
     save_records_csv(path, records, meta={"seed": 1})
     lines = path.read_text().splitlines()
     assert lines[0] == '# {"seed": 1}'
-    assert lines[1] == "t,vol_K,vol_polar,deficit_santalo,deficit_ball,A_dist,ratio,samples,seed"
+    assert lines[1] == (
+        "t,vol_K,vol_polar,deficit_santalo,deficit_ball,A_dist,ratio,samples,seed,"
+        "fit_converged,fit_evals"
+    )
     assert len(lines) == 4
+    # every cell is a number; the fit outcome is written as 1/0 and a count
+    for line, rec in zip(lines[2:], records):
+        cells = line.split(",")
+        assert [float(c) for c in cells]
+        assert cells[-2:] == [str(int(rec.fit_converged)), str(rec.fit_evals)]
     # rerun writes identical bytes
     path2 = tmp_path / "sweep2.csv"
     save_records_csv(path2, kt_sweep(2, [0.05, 0.10], samples=100_000, seed=1), meta={"seed": 1})
