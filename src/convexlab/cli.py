@@ -317,7 +317,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p, samples_default):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        # None until main resolves it from CONVEXLAB_SEED, so a bad value
+        # there is reported like any other usage error
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=samples_default)
         p.add_argument("--out", type=str, default=None)
 
@@ -373,6 +375,8 @@ def main(argv=None) -> int:
         # return values so embedding callers never see the exception
         return int(exc.code or 0)
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -223,16 +223,15 @@ def _check_symmetric_rows(rows: np.ndarray, tol: float) -> None:
         raise ValueError("vertex set is not symmetric about the origin")
 
 
-def _extreme_points(points: np.ndarray) -> np.ndarray:
-    try:
-        hull = ConvexHull(points)
-    except QhullError as exc:
-        raise ValueError(f"degenerate vertex set (flat or too few points): {exc}") from exc
-    return points[hull.vertices]
+def _canonical_vertices(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Dedup, verify symmetry, reduce to extreme points, make +/- exact.
 
-
-def _canonical_vertices(vertices: np.ndarray) -> np.ndarray:
-    """Dedup, verify symmetry, reduce to extreme points, make +/- exact, sort."""
+    Returns the canonical vertices, lexsorted as ``_dedup_rows`` leaves them,
+    and the facet simplices of the hull built to find the extreme points.  The
+    simplices are handed on only when that hull's input is the canonical array
+    bit for bit and in the same order, so they are what a fresh Qhull of the
+    canonical vertices returns; otherwise they are None.
+    """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2:
         raise ValueError("vertices must be a 2-D array")
@@ -247,11 +246,15 @@ def _canonical_vertices(vertices: np.ndarray) -> np.ndarray:
     _check_symmetric_rows(v, 100 * tol)
     if v.shape[0] < 2 * n:
         raise ValueError(f"need at least {2 * n} vertices after dedup, got {v.shape[0]}")
-    ext = _extreme_points(v)
+    try:
+        hull = ConvexHull(v)
+    except QhullError as exc:
+        raise ValueError(f"degenerate vertex set (flat or too few points): {exc}") from exc
+    ext = v[hull.vertices]
     # -x is extreme whenever x is; union with the negation makes pairing exact
-    v = _dedup_rows(np.vstack([ext, -ext]), tol)
-    order = np.lexsort(v.T[::-1])
-    return v[order]
+    out = _dedup_rows(np.vstack([ext, -ext]), tol)
+    same = out.shape == v.shape and out.tobytes() == v.tobytes()
+    return out, hull.simplices if same else None
 
 
 @dataclass(frozen=True)
@@ -261,20 +264,29 @@ class SymmetricVPolytope:
     The constructor canonicalizes: duplicates and non-extreme points are
     dropped, the vertex list is closed under negation, and vertices are sorted
     lexicographically so equal bodies compare equal.
+
+    Like the polar, the star triangulation and the exact moment matrix and
+    volume (``moments``) are computed once and cached on the body; the caches
+    take no part in ``==`` or ``repr``.
     """
 
     vertices: np.ndarray
     _polar: object = field(default=None, init=False, repr=False, compare=False)
-    _hull: object = field(default=None, init=False, repr=False, compare=False)
+    # hull facet indices from canonicalization, until star_triangulation uses them
+    _facets: object = field(default=None, init=False, repr=False, compare=False)
+    _star: object = field(default=None, init=False, repr=False, compare=False)
+    _moment: object = field(default=None, init=False, repr=False, compare=False)
+    _volume: object = field(default=None, init=False, repr=False, compare=False)
     _angular: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = _canonical_vertices(self.vertices)
+        v, facets = _canonical_vertices(self.vertices)
         n = _check_dim(v.shape[1])
         circum = float(np.max(np.linalg.norm(v, axis=1)))
         if np.linalg.matrix_rank(v, tol=1e-10 * max(1.0, circum)) < n:
             raise ValueError("origin is not interior (vertex set not full-dimensional)")
         object.__setattr__(self, "vertices", _freeze(v))
+        object.__setattr__(self, "_facets", facets)
 
     @property
     def dim(self) -> int:
@@ -624,23 +636,35 @@ def apply_map(t: LinearMap, body: Body) -> Body:
 def star_triangulation(body: Body) -> np.ndarray:
     """Decompose a polytope into simplices sharing the origin.
 
-    Returns an array of shape (k, n+1, n): each simplex lists the origin
-    followed by the n vertices of one hull facet (facets are simplicial as
-    returned by Qhull).  Simplex volumes sum to the polytope volume.
+    Returns a read-only array of shape (k, n+1, n): each simplex lists the
+    origin followed by the n vertices of one hull facet (facets are simplicial
+    as returned by Qhull).  Simplex volumes sum to the polytope volume.
+
+    A polytope is hulled once and triangulated once: the facets come from the
+    hull its constructor built when that hull's input was the canonical vertex
+    array, else from a fresh Qhull of the vertices, and the simplices are
+    cached on the vertex polytope like its polar (an H-polytope reaches them
+    through ``to_v``).
     """
     if isinstance(body, SymmetricHPolytope):
         body = body.to_v()
     if not isinstance(body, SymmetricVPolytope):
         raise TypeError("star triangulation requires a polytope")
-    hull = getattr(body, "_hull", None)
-    if hull is None:
+    if body._star is None:
+        object.__setattr__(body, "_star", _freeze(_star_simplices(body)))
+        object.__setattr__(body, "_facets", None)
+    return body._star
+
+
+def _star_simplices(body: SymmetricVPolytope) -> np.ndarray:
+    facets = body._facets
+    if facets is None:
         try:
-            hull = ConvexHull(body.vertices)
+            facets = ConvexHull(body.vertices).simplices
         except QhullError as exc:
             raise ValueError(f"degenerate polytope: {exc}") from exc
-        object.__setattr__(body, "_hull", hull)
     n = body.dim
-    facets = body.vertices[hull.simplices]  # (k, n, n)
+    facets = body.vertices[facets]  # (k, n, n)
     dets = np.linalg.det(facets)
     # qhull triangulates merged non-simplicial facets and may emit sliver
     # simplices of zero volume; they contribute nothing to any integral

@@ -130,26 +130,48 @@ def simplex_second_moment(vertices: np.ndarray) -> MomentMatrix:
     return MomentMatrix(dim=n, matrix=m, volume=vol)
 
 
-def _simplex_stack_moments(simplices: np.ndarray) -> tuple[np.ndarray, float]:
-    """Vectorized moment/volume accumulation over a (k, n+1, n) simplex stack."""
+def _simplex_stack_moments(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized moment accumulation over a (k, n+1, n) simplex stack.
+
+    Returns the moment matrix and ``|det|`` of each simplex's edge matrix
+    (``n!`` times its volume).
+    """
     n = simplices.shape[2]
     edges = simplices[:, 1:, :] - simplices[:, :1, :]
-    vols = np.abs(np.linalg.det(edges)) / math.factorial(n)
+    dets = np.abs(np.linalg.det(edges))
+    vols = dets / math.factorial(n)
     gram = np.einsum("kvi,kvj->kij", simplices, simplices)
     s = simplices.sum(axis=1)
     outer = np.einsum("ki,kj->kij", s, s)
     m = np.einsum("k,kij->ij", vols / ((n + 1) * (n + 2)), gram + outer)
-    return m, float(vols.sum())
+    return m, dets
+
+
+def _polytope_moments(body: SymmetricVPolytope | SymmetricHPolytope) -> tuple[MomentMatrix, float]:
+    """Exact moment matrix and volume of a polytope, cached on its vertex form.
+
+    Both come from the one star triangulation of the body and are computed
+    once, like its polar.  The matrix's volume is the sum of the simplex
+    volumes; the volume is ``sum |det| / n!``, which can differ in the last bit.
+    """
+    if isinstance(body, SymmetricHPolytope):
+        body = body.to_v()
+    if body._moment is None:
+        m, dets = _simplex_stack_moments(star_triangulation(body))
+        fact = math.factorial(body.dim)
+        mm = MomentMatrix(dim=body.dim, matrix=m, volume=float(np.sum(dets / fact)))
+        object.__setattr__(body, "_volume", float(np.sum(dets)) / fact)
+        object.__setattr__(body, "_moment", mm)
+    return body._moment, body._volume
 
 
 def volume(body: Body) -> float:
     """Exact volume: closed form for ellipsoids, star triangulation otherwise."""
     if isinstance(body, Ellipsoid):
         return body.volume_exact()
-    simplices = star_triangulation(body)
-    n = body.dim
-    edges = simplices[:, 1:, :] - simplices[:, :1, :]
-    return float(np.sum(np.abs(np.linalg.det(edges)))) / math.factorial(n)
+    if not isinstance(body, (SymmetricVPolytope, SymmetricHPolytope)):
+        raise TypeError("star triangulation requires a polytope")
+    return _polytope_moments(body)[1]
 
 
 def second_moment_matrix(
@@ -172,8 +194,7 @@ def second_moment_matrix(
         m = vol / (body.dim + 2) * np.linalg.inv(body.shape)
         return MomentMatrix(dim=body.dim, matrix=m, volume=vol)
     if isinstance(body, (SymmetricVPolytope, SymmetricHPolytope)):
-        m, vol = _simplex_stack_moments(star_triangulation(body))
-        return MomentMatrix(dim=body.dim, matrix=m, volume=vol)
+        return _polytope_moments(body)[0]
     if method == "exact":
         raise TypeError(f"no exact moment route for {type(body)!r}")
     return mc_second_moment(body, samples, seed)

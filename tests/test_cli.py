@@ -2,6 +2,7 @@
 installed entry point."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import convexlab.cli as cli
+import convexlab.geometry as geometry
 from convexlab.cli import main
 from convexlab.geometry import load_body
 from convexlab.harness import DeficitReport
@@ -64,6 +66,29 @@ def test_compute_cube(tmp_path, capsys):
     assert data["volume_product"] == pytest.approx(8.0, abs=1e-12)
     assert data["ball_functional"] == pytest.approx(8.0 / 9.0, abs=1e-12)
     assert data["santalo_deficit"] == pytest.approx(1.8696044010893586, abs=1e-10)
+
+
+def test_compute_hulls_each_body_once(tmp_path, monkeypatch):
+    """compute runs at most one Qhull per vertex polytope it builds: the saved
+    body and its polar reuse the hulls their constructors made."""
+    body = tmp_path / "body.json"
+    run("gen", "random-symmetric", "--dim", "3", "--verts", "10", "--seed", "5", "--out", str(body))
+    counts = {"hull": 0, "vpoly": 0}
+    real_hull, real_init = geometry.ConvexHull, geometry.SymmetricVPolytope.__post_init__
+
+    def counting_hull(*args, **kwargs):
+        counts["hull"] += 1
+        return real_hull(*args, **kwargs)
+
+    def counting_init(self):
+        counts["vpoly"] += 1
+        real_init(self)
+
+    monkeypatch.setattr(geometry, "ConvexHull", counting_hull)
+    monkeypatch.setattr(geometry.SymmetricVPolytope, "__post_init__", counting_init)
+    assert run("compute", str(body)) == 0
+    assert counts["vpoly"] == 2  # the body and its polar
+    assert counts["hull"] <= counts["vpoly"]
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +259,30 @@ def test_env_seed(tmp_path, monkeypatch):
                  "--seed", "11", "--out", str(b)]) == 0
     va, vb = load_body(a), load_body(b)
     np.testing.assert_array_equal(va.vertices, vb.vertices)
+
+
+def test_env_seed_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.setenv("CONVEXLAB_SEED", "11")
+    out = tmp_path / "a.json"
+    assert main(["gen", "cube", "--dim", "2", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["seed"] == 11 and data["config"]["seed"] == 11
+
+
+def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CONVEXLAB_SEED", "abc")
+    out = tmp_path / "x.json"
+    assert main(["gen", "cube", "--dim", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: CONVEXLAB_SEED must be an integer, got 'abc'\n"
+    assert not out.exists()
+    # an explicit --seed does not read the environment
+    assert main(["gen", "cube", "--dim", "2", "--seed", "3", "--out", str(out)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "convexlab", "gen", "cube", "--dim", "2", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "CONVEXLAB_SEED": "abc"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: CONVEXLAB_SEED must be an integer, got 'abc'\n"
 
 
 def test_entry_point_subprocess(tmp_path):

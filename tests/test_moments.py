@@ -7,21 +7,26 @@ Oracles used below (all elementary integrals):
     unit simplex conv(0, e_1..e_n): |S| = 1/n!, int x_i^2 = 2/(n+2)!
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
+from convexlab import geometry
 from convexlab.geometry import (
     Ellipsoid,
     LinearMap,
     SimplicialCone,
+    SymmetricVPolytope,
     apply_map,
     cross_polytope,
     cube,
     polar,
     random_ellipsoid,
     random_symmetric_polytope,
+    star_triangulation,
     unit_ball_volume,
     write_json,
 )
@@ -266,6 +271,123 @@ def test_mc_estimates_independent_of_chunk(monkeypatch):
         np.testing.assert_allclose(mm.matrix, ref_mm.matrix, rtol=1e-12, atol=0)
         np.testing.assert_allclose(mm.stderr, ref_mm.stderr, rtol=1e-12, atol=0)
         np.testing.assert_allclose(cone_moment, ref_cone, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# one hull, one triangulation and one exact moment per polytope
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """Counts the Qhull runs and star triangulations of the geometry layer."""
+    calls = {"hull": 0, "star": 0}
+    real_hull, real_star = geometry.ConvexHull, geometry._star_simplices
+
+    def counting_hull(points, *args, **kwargs):
+        calls["hull"] += 1
+        return real_hull(points, *args, **kwargs)
+
+    def counting_star(body):
+        calls["star"] += 1
+        return real_star(body)
+
+    monkeypatch.setattr(geometry, "ConvexHull", counting_hull)
+    monkeypatch.setattr(geometry, "_star_simplices", counting_star)
+    return calls
+
+
+def _reference_integrals(vertices: np.ndarray):
+    """Star simplices, volume and moment matrix from a fresh Qhull of the
+    vertices, as computed before anything was cached."""
+    n = vertices.shape[1]
+    facets = vertices[ConvexHull(vertices).simplices]
+    keep = np.abs(np.linalg.det(facets)) >= 1e-14 * max(
+        1.0, float(np.max(np.linalg.norm(vertices, axis=1)))) ** n
+    simplices = np.zeros((int(keep.sum()), n + 1, n))
+    simplices[:, 1:, :] = facets[keep]
+    edges = simplices[:, 1:, :] - simplices[:, :1, :]
+    fact = math.factorial(n)
+    vol = float(np.sum(np.abs(np.linalg.det(edges)))) / fact
+    m, dets = moments._simplex_stack_moments(simplices)
+    return simplices, vol, MomentMatrix(dim=n, matrix=m, volume=float(np.sum(dets / fact)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cube(3),
+    lambda: random_symmetric_polytope(3, 10, seed=4),  # 14 of 20 points extreme
+    lambda: polar(random_symmetric_polytope(4, 16, seed=1)),
+    lambda: geometry.ball_approx(3, 24, seed=2),  # reached through to_v()
+], ids=["cube", "interior-points", "polar-4d", "h-polytope"])
+def test_one_hull_and_one_triangulation_per_body(make, hull_calls):
+    body = make()
+    built = hull_calls["hull"]
+    mm = second_moment_matrix(body)
+    vol = volume(body)
+    simplices = star_triangulation(body)
+    # the constructor's hull is reused when it can be; else one more Qhull
+    assert hull_calls["hull"] - built <= 1
+    assert hull_calls["star"] == 1
+    after = dict(hull_calls)
+    for _ in range(3):
+        assert second_moment_matrix(body) is mm
+        assert second_moment_matrix(body, method="exact") is mm
+        assert volume(body) == vol
+        assert star_triangulation(body) is simplices
+    assert hull_calls == after
+
+
+def _pm(points: np.ndarray) -> np.ndarray:
+    return np.vstack([points, -points])
+
+
+def _near_pairs(n: int, count: int, seed: int) -> np.ndarray:
+    """Points on the sphere, so all are extreme, and their negatives, each
+    off by up to 2e-11 per coordinate: symmetric only within the dedup
+    tolerance, so canonicalization keeps as many rows but not the same ones."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(count, n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return np.vstack([pts, -pts + rng.uniform(-2e-11, 2e-11, pts.shape)])
+
+
+_CUBE3 = cube(3).vertices
+
+
+@pytest.mark.parametrize("name,raw", [
+    ("unsorted rows", np.random.default_rng(0).permutation(_CUBE3)),
+    ("interior points", np.vstack([
+        _CUBE3, _pm(np.random.default_rng(1).uniform(-0.5, 0.5, (6, 3)))])),
+    ("near-duplicate rows", np.vstack([_CUBE3, _CUBE3 + 1e-13])),
+    ("pairs within the dedup tolerance", _near_pairs(3, 9, seed=2)),
+    ("pairs within the dedup tolerance, 2D", _near_pairs(2, 7, seed=3)),
+    ("cube with face midpoints", np.vstack([_CUBE3, _pm(np.eye(3))])),
+    ("4D cross-polytope image", _pm(np.random.default_rng(6).normal(size=(4, 4)))),
+])
+def test_hull_handoff_is_bit_identical(name, raw):
+    body = SymmetricVPolytope(raw)
+    text = repr(body)
+    simplices, vol, mm = _reference_integrals(body.vertices)
+    assert star_triangulation(body).tobytes() == simplices.tobytes()
+    assert volume(body) == vol
+    got = second_moment_matrix(body)
+    assert got.matrix.tobytes() == mm.matrix.tobytes() and got.volume == mm.volume
+    # the caches take no part in equality or repr, and cannot be written to
+    assert [f.name for f in dataclasses.fields(body) if f.compare or f.repr] == ["vertices"]
+    assert repr(body) == text == f"SymmetricVPolytope(vertices={body.vertices!r})"
+    assert body == body
+    assert not star_triangulation(body).flags.writeable
+    assert not got.matrix.flags.writeable
+
+
+def test_hull_handoff_guard_takes_both_paths():
+    """Canonical input hands the constructor's hull on; input with points
+    that are not extreme makes the triangulation hull the canonical array."""
+    assert SymmetricVPolytope(_CUBE3)._facets is not None
+    assert SymmetricVPolytope(np.vstack([_CUBE3, _pm(np.eye(3))]))._facets is None
+    body = SymmetricVPolytope(_CUBE3)
+    star_triangulation(body)
+    assert body._facets is None  # the indices are dropped once the simplices exist
 
 
 # ---------------------------------------------------------------------------
