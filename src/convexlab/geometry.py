@@ -257,6 +257,66 @@ def _canonical_vertices(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray | 
     return out, hull.simplices if same else None
 
 
+def _angle_bucket(a: np.ndarray, inv_width: float, buckets: int) -> np.ndarray:
+    """Uniform bucket of each angle in [-pi, pi].
+
+    One float expression for vertex and query angles alike; ``+``, ``*`` and
+    truncation are monotone whatever the rounding, and so is the map.
+    """
+    # a NaN angle casts to an arbitrary bucket, where no vertex angle is <= it
+    with np.errstate(invalid="ignore"):
+        b = ((a + np.pi) * inv_width).astype(np.intp)
+    return np.clip(b, 0, buckets - 1, out=b)
+
+
+@dataclass(frozen=True)
+class _AngularTable:
+    """The sorted vertex angles of a polygon under a table of about 2m buckets.
+
+    ``count_at_most(pa)`` equals ``searchsorted(angs, pa, "right")`` for every
+    query.  The bucket map is monotone, so a vertex in a lower bucket than the
+    query has an angle at most the query's and one in a higher bucket a larger
+    angle; only the query's own bucket is searched, by ``len(steps)``
+    branch-free bisection passes (the bit length of the fullest bucket).
+    ``vx``/``vy`` hold the sorted vertices with the last one in front and the
+    first one behind, so vertices ``pos - 1`` and ``pos`` (mod m) are
+    ``v[pos]`` and ``v[pos + 1]``.
+    """
+
+    angs: np.ndarray  # sorted vertex angles, then +inf for the passes to overrun
+    vx: np.ndarray
+    vy: np.ndarray
+    start: np.ndarray  # vertices in the buckets below each bucket
+    inv_width: float
+    steps: tuple[int, ...]
+
+    def count_at_most(self, pa: np.ndarray) -> np.ndarray:
+        pos = self.start[_angle_bucket(pa, self.inv_width, len(self.start))]
+        for step in self.steps:
+            pos += (self.angs.take(pos + (step - 1)) <= pa) * step
+        return pos
+
+    @staticmethod
+    def build(vertices: np.ndarray) -> "_AngularTable":
+        ang = np.arctan2(vertices[:, 1], vertices[:, 0])
+        order = np.argsort(ang)
+        angs, vs = ang[order], vertices[order]
+        buckets = 2 * len(angs)
+        inv_width = buckets / (2.0 * np.pi)
+        occupancy = np.bincount(_angle_bucket(angs, inv_width, buckets), minlength=buckets)
+        start = np.cumsum(occupancy) - occupancy
+        steps = tuple(1 << k for k in reversed(range(int(occupancy.max()).bit_length())))
+        ring = np.vstack([vs[-1:], vs, vs[:1]])
+        return _AngularTable(
+            angs=np.concatenate([angs, np.full(steps[0], np.inf)]),
+            vx=ring[:, 0].copy(),
+            vy=ring[:, 1].copy(),
+            start=start,
+            inv_width=inv_width,
+            steps=steps,
+        )
+
+
 @dataclass(frozen=True)
 class SymmetricVPolytope:
     """Origin-symmetric polytope given by its vertices.
@@ -329,27 +389,24 @@ class SymmetricVPolytope:
         return bool(out[0]) if single else out
 
     def _contains_angular(self, pts: np.ndarray, tol: float) -> np.ndarray:
-        """O(log m) membership for large polygons via angular bisection."""
-        cache = self._angular
-        if cache is None:
-            ang = np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
-            order = np.argsort(ang)
-            vs = self.vertices[order]
-            cache = (np.sort(ang), vs)
-            object.__setattr__(self, "_angular", cache)
-        angs, vs = cache
-        m = vs.shape[0]
+        """Membership for large polygons: the edge at each point's angle.
+
+        The edge is found in the cached ``_AngularTable`` and is the one
+        ``searchsorted`` over the sorted vertex angles would give.
+        """
+        table = self._angular
+        if table is None:
+            table = _AngularTable.build(self.vertices)
+            object.__setattr__(self, "_angular", table)
         pa = np.arctan2(pts[:, 1], pts[:, 0])
-        idx = np.searchsorted(angs, pa, side="right") - 1
-        idx %= m
-        a = vs[idx]
-        b = vs[(idx + 1) % m]
+        # the edge from vertex pos - 1 to vertex pos (both mod m)
+        pos = table.count_at_most(pa)
+        ax, bx = table.vx.take(pos), table.vx.take(pos + 1)
+        ay, by = table.vy.take(pos), table.vy.take(pos + 1)
         # interior lies left of each CCW edge; cross >= -tol * (a x b) matches
         # the facet inequality <w, x> <= 1 + tol with w the dual vertex of (a, b)
-        edge_cross = (b[:, 0] - a[:, 0]) * (pts[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-            pts[:, 0] - a[:, 0]
-        )
-        ab_cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        edge_cross = (bx - ax) * (pts[:, 1] - ay) - (by - ay) * (pts[:, 0] - ax)
+        ab_cross = ax * by - ay * bx
         return edge_cross >= -tol * ab_cross
 
     def to_json_dict(self) -> dict:
@@ -465,7 +522,9 @@ class Ellipsoid:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        q = np.einsum("ij,jk,ik->i", pts, self.shape, pts)
+        # one BLAS product and a row dot, within 1e-14 of the three-operand
+        # einsum; support and radial keep that einsum, as their values are outputs
+        q = np.einsum("ij,ij->i", pts @ self.shape, pts)
         out = q <= 1.0 + tol
         return bool(out[0]) if single else out
 

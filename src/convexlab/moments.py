@@ -216,15 +216,25 @@ def box_chunks(lo: np.ndarray | float, hi: np.ndarray, samples: int, seed: int):
     The chunks concatenate to the single draw ``default_rng(seed).uniform(lo,
     hi, (samples, n))`` for every chunk size, so any consumer that accumulates
     in yield order is deterministic for a given seed and chunk.  ``lo`` may be
-    a scalar shared by every coordinate.
+    a scalar shared by every coordinate.  Each chunk is one ``random`` draw
+    scaled in place to ``lo + (hi - lo) * U``, numpy's own ``uniform`` formula
+    (the same bits), without its slow broadcast path.  A box with a non-finite
+    bound or span raises ValueError.
     """
     if samples <= 0:
         raise ValueError(f"Monte Carlo needs a positive sample count, got {samples}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = np.subtract(hi, lo, dtype=float)
+    if not np.all(np.isfinite(span)):
+        raise ValueError(f"the Monte Carlo box from {lo} to {hi} is not finite")
     rng = np.random.default_rng(seed)
     remaining = int(samples)
     while remaining > 0:
         k = min(MC_CHUNK, remaining)
-        yield rng.uniform(lo, hi, size=(k, len(hi)))
+        pts = rng.random((k, len(hi)))
+        pts *= span
+        pts += lo
+        yield pts
         remaining -= k
 
 

@@ -285,6 +285,16 @@ def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert proc.stderr == "error: CONVEXLAB_SEED must be an integer, got 'abc'\n"
 
 
+def test_unbounded_sampling_box_is_refused(tmp_path, capsys):
+    """A valid ellipsoid whose bounding box overflows: 1 / 5e-324 is inf."""
+    body = tmp_path / "flat.json"
+    body.write_text(json.dumps({"dim": 2, "kind": "ellipsoid", "shape": [[5e-324, 0.0], [0.0, 1.0]]}))
+    assert run("yaoyao", str(body), "--samples", "10000", "--seed", "0") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the Monte Carlo box from ") and err.endswith(" is not finite\n")
+    assert err.count("\n") == 1
+
+
 def test_entry_point_subprocess(tmp_path):
     out = tmp_path / "cube.json"
     proc = subprocess.run(

@@ -117,12 +117,22 @@ def _one_shot_facet_test(pts, normals, offsets, tol=1e-9):
     return np.max((pts @ normals.T) / offsets, axis=1) <= 1.0 + tol
 
 
+def _clustered_polygon():
+    """300 vertex pairs on an ellipse of aspect ratio 1e-3: the angles crowd
+    about 0 and pi, so the fullest angle bucket holds over a hundred."""
+    theta = np.linspace(0.0, np.pi, 300, endpoint=False) + 1e-3
+    half = np.column_stack([np.cos(theta), 1e-3 * np.sin(theta)])
+    return SymmetricVPolytope(np.vstack([half, -half]))
+
+
 def _contains_bodies():
-    """2D, 3D and 4D V-polytopes (6, 28 and 100 facets), an 80-gon (the
-    angular path) and a 3D H-polytope with non-unit offsets (40 facets)."""
+    """2D, 3D and 4D V-polytopes (6, 28 and 100 facets), three polygons on
+    the angular path (an 80-gon, the 2050-gon K_t and a clustered 600-gon)
+    and a 3D H-polytope with non-unit offsets (40 facets)."""
     vps = [random_symmetric_polytope(n, k, seed=4) for n, k in ((2, 3), (3, 10), (4, 16))]
     theta = np.linspace(0.0, 2.0 * np.pi, 80, endpoint=False)
     vps.append(SymmetricVPolytope(np.column_stack([1.3 * np.cos(theta), 0.8 * np.sin(theta)])))
+    vps += [kt_family(2, 0.05).to_v(), _clustered_polygon()]
     warp = LinearMap(np.array([[1.5, 0.2, 0.0], [0.0, 0.7, 0.3], [0.1, 0.0, 1.2]]))
     hp = apply_map(warp, ball_approx(3, 40, seed=2))
     assert np.ptp(hp.offsets) > 0.1
@@ -133,14 +143,14 @@ def _contains_bodies():
 # Budgets 1, 7 and 100 give every facet test point-major row blocks; 1024
 # gives the 6- and 28-facet bodies facet-major blocks and the others
 # point-major ones; 65536 gives every body facet-major blocks (rows >= facets
-# up to 256 facets).  The 80-gon runs the angular test in blocks of the budget.
+# up to 256 facets).  The polygons run the angular test in blocks of the budget.
 @pytest.mark.parametrize("block", [1, 7, 100, 1 << 10, 1 << 16])
 def test_polytope_contains_blocks_match_one_shot(monkeypatch, block):
     monkeypatch.setattr(geometry, "CONTAIN_BLOCK_ELEMENTS", block)
     rng = np.random.default_rng(block)
     for body, normals, offsets in _contains_bodies():
         n = body.dim
-        pts = rng.uniform(-1.5, 1.5, size=(1001, n))
+        pts = rng.uniform(-1.5, 1.5, size=(max(1001, len(normals) + 500), n))
         # points on facets, inside the tolerance band of the test
         on = normals * (offsets / np.sum(normals**2, axis=1))[:, None]
         pts[: len(on)] = on
@@ -148,6 +158,50 @@ def test_polytope_contains_blocks_match_one_shot(monkeypatch, block):
             body.contains(pts), _one_shot_facet_test(pts, normals, offsets)
         )
         assert body.contains(np.zeros((0, n))).shape == (0,)
+
+
+def _ngon(m, aspect=1.0):
+    theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    return SymmetricVPolytope(np.column_stack([np.cos(theta), aspect * np.sin(theta)]))
+
+
+ANGULAR_POLYGONS = {
+    # vertices on the x axis: (1, 0) and its negation (-1, -0.0), at angle -pi
+    "64-gon": lambda: _ngon(64),
+    "80-gon": lambda: _ngon(80, 0.8 / 1.3),
+    "kt-2d": lambda: kt_family(2, 0.05).to_v(),
+    "clustered": _clustered_polygon,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANGULAR_POLYGONS))
+def test_angular_lookup_matches_searchsorted(name):
+    """The bucketed edge index is ``searchsorted(angs, pa, "right")`` at every
+    vertex angle and one ulp to either side, at +-pi and 0, on every edge and
+    at random points."""
+    body = ANGULAR_POLYGONS[name]()
+    ang = np.arctan2(body.vertices[:, 1], body.vertices[:, 0])
+    v = body.vertices[np.argsort(ang)]
+    angs = np.sort(ang)
+    pts = np.vstack([
+        v, 0.5 * v, 2.0 * v,
+        0.5 * (v + np.roll(v, -1, axis=0)),
+        # pi (y = +0.0), -pi (y = -0.0), 0 and the origin
+        [[-1.0, 0.0], [-1.0, -0.0], [1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [0.0, 0.0]],
+        np.random.default_rng(3).uniform(-1.5, 1.5, (4000, 2)),
+    ])
+    pa = np.concatenate([
+        np.arctan2(pts[:, 1], pts[:, 0]),
+        np.nextafter(angs, -np.inf), np.nextafter(angs, np.inf),
+        [np.pi, -np.pi, np.nextafter(-np.pi, 0.0), np.nextafter(np.pi, 0.0)],
+    ])
+    body.contains(pts)
+    table = body._angular
+    assert np.array_equal(table.count_at_most(pa), np.searchsorted(angs, pa, side="right"))
+    if name == "clustered":
+        assert len(table.steps) >= 7
+    if name == "64-gon":
+        assert angs[0] == -np.pi
 
 
 def test_contains_memory_bounded_on_3d_kt():

@@ -45,7 +45,7 @@ from convexlab.moments import (
     simplex_volume,
     volume,
 )
-from convexlab.stability import homothetic_distance
+from convexlab.stability import homothetic_distance, kt_family
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -161,14 +161,42 @@ BOX_LO = np.array([-1.0, 0.0, -2.5])
 BOX_HI = np.array([1.0, 0.5, 3.0])
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 49, 50, 64])
+# array bounds in 2D to 4D, and the scalar lower corner OrthantRegion.sample passes
+BOXES = [
+    (BOX_LO, BOX_HI),
+    (np.array([-1.0, -0.5]), np.array([1.0, 0.5])),
+    (0.0, np.array([1.5, 0.25])),
+    (np.array([-1.0, -0.5, -2.0, -0.1]), np.array([1.0, 0.5, 2.0, 0.3])),
+    (0.0, np.array([0.7, 1.2, 0.4, 2.0])),
+]
+
+
+# None keeps MC_CHUNK itself
+@pytest.mark.parametrize("chunk", [1, 7, 49, 50, 64, None])
 def test_box_chunks_concatenate_to_one_draw(chunk, monkeypatch):
-    monkeypatch.setattr(moments, "MC_CHUNK", chunk)
-    n_draws = 50
-    whole = np.random.default_rng(4).uniform(BOX_LO, BOX_HI, (n_draws, 3))
-    parts = list(box_chunks(BOX_LO, BOX_HI, n_draws, 4))
-    assert [len(p) for p in parts[:-1]] == [chunk] * (len(parts) - 1)
-    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    if chunk is not None:
+        monkeypatch.setattr(moments, "MC_CHUNK", chunk)
+    chunk = moments.MC_CHUNK
+    for lo, hi in BOXES:
+        n = len(hi)
+        # 2 * chunk + 3 is not a multiple of the chunk
+        for n_draws in (50, 2 * chunk + 3):
+            whole = np.random.default_rng(4).uniform(lo, hi, (n_draws, n))
+            parts = list(box_chunks(lo, hi, n_draws, 4))
+            assert [len(p) for p in parts[:-1]] == [chunk] * (len(parts) - 1)
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-np.inf, np.ones(2)),
+    (np.array([np.nan, 0.0]), np.ones(2)),
+    (np.zeros(3), np.array([1.0, np.inf, 1.0])),
+    # both corners finite, the span overflows
+    (np.full(2, -1e308), np.full(2, 1e308)),
+], ids=["-inf", "nan", "inf", "overflow"])
+def test_box_chunks_refuse_a_non_finite_box(lo, hi):
+    with pytest.raises(ValueError, match="Monte Carlo box .* is not finite"):
+        next(box_chunks(lo, hi, 10, 0))
 
 
 def _in_unit_ball(pts):
@@ -271,6 +299,93 @@ def test_mc_estimates_independent_of_chunk(monkeypatch):
         np.testing.assert_allclose(mm.matrix, ref_mm.matrix, rtol=1e-12, atol=0)
         np.testing.assert_allclose(mm.stderr, ref_mm.stderr, rtol=1e-12, atol=0)
         np.testing.assert_allclose(cone_moment, ref_cone, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo inner loop keeps the bits of its reference kernels
+# ---------------------------------------------------------------------------
+
+
+def _uniform_box_chunks(lo, hi, samples, seed):
+    """Reference box draws: one broadcast ``uniform`` call per chunk."""
+    rng = np.random.default_rng(seed)
+    remaining = samples
+    while remaining > 0:
+        k = min(moments.MC_CHUNK, remaining)
+        yield rng.uniform(lo, hi, size=(k, len(hi)))
+        remaining -= k
+
+
+def _three_operand_quadratic_form(pts, shape):
+    return np.einsum("ij,jk,ik->i", pts, shape, pts)
+
+
+def _three_operand_ellipsoid_contains(self, points, tol=geometry.CONTAIN_TOL):
+    return _three_operand_quadratic_form(np.atleast_2d(points), self.shape) <= 1.0 + tol
+
+
+def _searchsorted_contains_angular(self, pts, tol):
+    """Reference polygon membership: the edge from ``searchsorted`` over the
+    sorted vertex angles, then the same edge-cross decision."""
+    ang = np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
+    order = np.argsort(ang)
+    angs, vs = ang[order], self.vertices[order]
+    m = len(vs)
+    idx = (np.searchsorted(angs, np.arctan2(pts[:, 1], pts[:, 0]), side="right") - 1) % m
+    a, b = vs[idx], vs[(idx + 1) % m]
+    edge_cross = (b[:, 0] - a[:, 0]) * (pts[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        pts[:, 0] - a[:, 0]
+    )
+    ab_cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return edge_cross >= -tol * ab_cross
+
+
+def _polygon80():
+    theta = np.linspace(0.0, 2.0 * np.pi, 80, endpoint=False)
+    return SymmetricVPolytope(np.column_stack([1.3 * np.cos(theta), 0.8 * np.sin(theta)]))
+
+
+# one body per kernel: box draws and the ellipsoid form, then the angular
+# lookup on 80 and on 2050 vertices
+INNER_LOOP_BODIES = {
+    "ellipsoid-3d": lambda: random_ellipsoid(3, seed=6),
+    "polygon-80": _polygon80,
+    "kt-2d": lambda: kt_family(2, 0.05).to_v(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INNER_LOOP_BODIES))
+def test_mc_second_moment_bytes_match_reference_kernels(name, monkeypatch):
+    make = INNER_LOOP_BODIES[name]
+    fast = mc_second_moment(make(), 200_000, 11)
+    monkeypatch.setattr(moments, "box_chunks", _uniform_box_chunks)
+    monkeypatch.setattr(Ellipsoid, "contains", _three_operand_ellipsoid_contains)
+    monkeypatch.setattr(SymmetricVPolytope, "_contains_angular", _searchsorted_contains_angular)
+    ref = mc_second_moment(make(), 200_000, 11)
+    assert fast.matrix.tobytes() == ref.matrix.tobytes()
+    assert fast.stderr.tobytes() == ref.stderr.tobytes()
+    assert fast.volume.hex() == ref.volume.hex()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ellipsoid_contains_matches_three_operand_form(n):
+    """10^6 points: 400k in the box, 400k within 2 % of the boundary and 200k
+    at relative distances 3e-12 to 1e-8 from the threshold.  The BLAS form
+    decides as the three-operand einsum does wherever that form is more than
+    1e-12 (relative) away from the threshold."""
+    e = random_ellipsoid(n, seed=n)
+    rng = np.random.default_rng(n)
+    lo, hi = e.bounding_box()
+    bound = 1.0 + geometry.CONTAIN_TOL
+    gap = 10.0 ** rng.uniform(-11.5, -8.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    level = np.concatenate([rng.uniform(0.98**2, 1.02**2, 400_000), bound * (1.0 + gap)])
+    near = rng.standard_normal((len(level), n))
+    near *= np.sqrt(level / _three_operand_quadratic_form(near, e.shape))[:, None]
+    pts = np.vstack([rng.uniform(lo, hi, (400_000, n)), near])
+    q = _three_operand_quadratic_form(pts, e.shape)
+    away = np.abs(q - bound) > 1e-12 * bound
+    assert np.count_nonzero(away) > 0.99 * len(pts)
+    np.testing.assert_array_equal(e.contains(pts)[away], (q <= bound)[away])
 
 
 # ---------------------------------------------------------------------------
