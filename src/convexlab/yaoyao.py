@@ -14,7 +14,12 @@ point reflection of the upper one, so only the upper half is ever solved.
 The key computational fact is triangular dependence: component k of the
 recursive apex depends only on the multipliers a_1..a_k, and monotonically
 on a_k, so the vector equation splits into a sequence of scalar
-root-finding problems on weighted medians.
+root-finding problems on weighted medians.  Each solved apex component is
+built from inner solves that stop anywhere inside their own tolerance and
+from interpolated medians of a finite cloud, so the scalar functions are
+monotone but jump; a bracket that collapses to float width is therefore
+taken as the root, and the cone-mass check against ``mass_tol`` is what
+judges the partition.
 
 Everything here operates on discrete weighted samples; masses reported by
 the partition are exact masses of the sample measure in the constructed
@@ -33,6 +38,7 @@ from .geometry import (
     Body,
     LinearMap,
     SimplicialCone,
+    dual_cone,
     orthonormal_basis,
     random_directions,
     write_json,
@@ -50,7 +56,7 @@ _MASS_CHUNK = 2_000_000
 
 @dataclass(frozen=True)
 class MeasureSamples:
-    """Weighted sample cloud of an even measure.
+    """Sample cloud of the even measure <x, u>^2 dx on a symmetric body.
 
     Points are stored as interleaved antipodal pairs, points[2i+1] ==
     -points[2i] with equal weights, which makes the evenness of the measure
@@ -60,8 +66,6 @@ class MeasureSamples:
     points: np.ndarray
     weights: np.ndarray
     direction: np.ndarray
-    density: str
-    seed: int | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -83,10 +87,9 @@ class MeasureSamples:
             float(np.linalg.norm(u)), 1.0, rel_tol=0, abs_tol=1e-9
         ):
             raise ValueError("direction must be a unit vector of matching dimension")
-        if self.density == "moment2":
-            ref = (pts @ u) ** 2
-            if np.max(np.abs(w - ref)) > 1e-9 * max(float(ref.max()), 1e-300):
-                raise ValueError("moment2 weights must equal <x, u>^2")
+        ref = (pts @ u) ** 2
+        if np.max(np.abs(w - ref)) > 1e-9 * max(float(ref.max()), 1e-300):
+            raise ValueError("weights must equal <x, u>^2")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "direction", u)
@@ -99,27 +102,20 @@ class MeasureSamples:
     def total(self) -> float:
         return float(self.weights.sum())
 
-    def weighted_centroid(self) -> np.ndarray:
-        return self.weights @ self.points / self.total
-
 
 def sample_measure(
     body: Body,
     direction: np.ndarray,
     n_samples: int = 200_000,
     seed: int = 0,
-    density: str = "moment2",
 ) -> MeasureSamples:
     """Draw an even weighted sample cloud from a symmetric body.
 
-    ``density="moment2"`` weights each point x by <x, u>^2 (the measure
-    equipartitioned in the cone decomposition of the volume product);
-    ``density="uniform"`` gives unit weights.  Points are drawn by rejection
+    Each point x is weighted by <x, u>^2, the measure equipartitioned in the
+    cone decomposition of the volume product.  Points are drawn by rejection
     from the bounding box; half the requested count is drawn and the
     antipodes are appended, so the cloud is exactly even.
     """
-    if density not in ("moment2", "uniform"):
-        raise ValueError(f"unknown density {density!r}")
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if n_samples % 2:
@@ -132,11 +128,7 @@ def sample_measure(
     pts = np.empty((n_samples, n))
     pts[0::2] = half
     pts[1::2] = -half
-    if density == "moment2":
-        w = (pts @ u) ** 2
-    else:
-        w = np.ones(n_samples)
-    return MeasureSamples(points=pts, weights=w, direction=u, density=density, seed=seed)
+    return MeasureSamples(points=pts, weights=(pts @ u) ** 2, direction=u)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +150,14 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _solve_decreasing(phi, x0: float, step: float, tol: float, max_iter: int = 200) -> float:
-    """Root of a continuous, piecewise-linear, strictly decreasing function.
+    """Root of a decreasing function that may jump.
 
     Brackets by doubling steps from ``x0`` and polishes with the Illinois
-    variant of regula falsi until ``|phi| <= tol``; running out of iterations
-    (or stalling on a collapsed bracket with a large residual) is an error
-    that reports the residual rather than a silent best guess.
+    variant of regula falsi until ``|phi| <= tol``.  A bracket that collapses
+    to float width holds the root of a function with jumps, so its endpoint
+    with the smaller ``|phi|`` is returned.  Failing to bracket, and running
+    out of iterations, are errors that report the residual rather than a
+    silent best guess.
     """
     fx = phi(x0)
     if abs(fx) <= tol:
@@ -190,29 +184,29 @@ def _solve_decreasing(phi, x0: float, step: float, tol: float, max_iter: int = 2
             a = b - step
             fa = phi(a)
     side = 0
-    residual = min(abs(fa), abs(fb))
+    # |phi| at a and b; the Illinois steps halve fa and fb, not these
+    ra, rb = fa, -fb
     for _ in range(max_iter):
         if fa == fb or (b - a) <= 1e-14 * (1.0 + abs(a) + abs(b)):
-            break
+            return a if ra <= rb else b
         x = (a * fb - b * fa) / (fb - fa)
         if not a < x < b:
             x = 0.5 * (a + b)
         fx = phi(x)
         if abs(fx) <= tol:
             return x
-        residual = abs(fx)
         if fx > 0:
-            a, fa = x, fx
+            a, fa, ra = x, fx, fx
             if side == 1:
                 fb *= 0.5
             side = 1
         else:
-            b, fb = x, fx
+            b, fb, rb = x, fx, -fx
             if side == -1:
                 fa *= 0.5
             side = -1
     raise RuntimeError(
-        f"equipartition axis solve did not converge: residual {residual:.3e} "
+        f"equipartition axis solve did not converge: residual {min(ra, rb):.3e} "
         f"exceeds tolerance {tol:.3e} on bracket [{a:.6g}, {b:.6g}]"
     )
 
@@ -222,15 +216,20 @@ def _solve_decreasing(phi, x0: float, step: float, tol: float, max_iter: int = 2
 
 
 class _Node:
-    """One level of the partition tree, in local sheared coordinates."""
+    """One level of the partition tree, in local sheared coordinates.
 
-    __slots__ = ("split", "mult", "upper", "lower")
+    ``apex`` is the last component of the subtree's Yao-Yao apex: the split
+    at a leaf, the midpoint of the two half-tree apexes above one.
+    """
 
-    def __init__(self, split, mult, upper, lower):
+    __slots__ = ("split", "mult", "upper", "lower", "apex")
+
+    def __init__(self, split, mult, upper, lower, apex):
         self.split = split
         self.mult = mult
         self.upper = upper
         self.lower = lower
+        self.apex = apex
 
 
 def _project(pts: np.ndarray, split: float, mult: np.ndarray, k: int) -> np.ndarray:
@@ -245,71 +244,55 @@ def _rms(values: np.ndarray, weights: np.ndarray) -> float:
     return math.sqrt(float(weights @ (values * values)) / t)
 
 
-def _center_component(pts: np.ndarray, w: np.ndarray, j: int, tol_rel: float) -> float:
-    """Component j of the Yao-Yao apex of a (generally uneven) sample measure."""
-    if j == 0:
-        return _weighted_median(pts[:, 0], w)
-    s = _weighted_median(pts[:, 0], w)
-    up = pts[:, 0] >= s
-    mult = _solve_multipliers(pts, w, s, up, j, tol_rel)
-    qu = _project(pts[up], s, mult, j)
-    ql = _project(pts[~up], s, mult, j)
-    return 0.5 * (
-        _center_component(qu, w[up], j - 1, tol_rel)
-        + _center_component(ql, w[~up], j - 1, tol_rel)
-    )
+def _build_tree(pts: np.ndarray, w: np.ndarray, tol_rel: float, even: bool = False) -> _Node:
+    """Partition tree of a sample measure, with its axis multipliers solved.
 
+    Sequential in k: component k-1 of the projected half-tree apexes depends
+    only on a_1..a_k and is strictly monotone in a_k (increasing a_k lowers
+    every upper-half point and raises every lower-half point in coordinate
+    k), so a_k solves a scalar equation in the gap between those apexes.
 
-def _solve_multipliers(
-    pts: np.ndarray,
-    w: np.ndarray,
-    s: float,
-    up: np.ndarray,
-    kmax: int,
-    tol_rel: float,
-) -> np.ndarray:
-    """Axis multipliers a_1..a_kmax matching the two recursive apexes.
-
-    Sequential in k: component k-1 of the projected apexes depends only on
-    a_1..a_k and is strictly monotone in a_k (increasing a_k lowers every
-    upper-half point and raises every lower-half point in coordinate k).
+    ``even`` marks the top level of an even measure: the split is the plane
+    through the origin, the lower half-tree is the reflection of the upper
+    one, so the gap is the upper apex alone and a_1 has a closed form.
     """
-    lo = ~up
-    if not up.any() or not lo.any():
-        raise RuntimeError("degenerate measure: median split left one side empty")
-    wu, wl = w[up], w[lo]
-    h_up = max(_rms(pts[up][:, 0] - s, wu), 1e-300)
-    mult = np.zeros(kmax)
-    for k in range(1, kmax + 1):
+    m = pts.shape[1]
+    s = 0.0 if even else _weighted_median(pts[:, 0], w)
+    if m == 1:
+        return _Node(s, None, None, None, s)
+    up = pts[:, 0] > s if even else pts[:, 0] >= s
+    if not up.any() or up.all():
+        raise RuntimeError("degenerate measure: a split left one side empty")
+    pu, wu = pts[up], w[up]
+    pl, wl = (None, None) if even else (pts[~up], w[~up])
+    mult = np.zeros(m - 1)
+    if even:
+        mult[0] = _weighted_median(pu[:, 1] / pu[:, 0], wu)
+    for k in range(2 if even else 1, m):
         scale = max(_rms(pts[:, k], w), 1e-300)
+        h_up = max(_rms(pu[:, 0] - s, wu), 1e-300)
 
         def phi(t, _k=k):
             mult[_k - 1] = t
-            cu = _center_component(_project(pts[up], s, mult, _k), wu, _k - 1, tol_rel)
-            cl = _center_component(_project(pts[lo], s, mult, _k), wl, _k - 1, tol_rel)
-            return cu - cl
+            gap = _build_tree(_project(pu, s, mult, _k), wu, tol_rel).apex
+            if not even:
+                gap -= _build_tree(_project(pl, s, mult, _k), wl, tol_rel).apex
+            return gap
 
         mult[k - 1] = _solve_decreasing(phi, mult[k - 1], scale / h_up, tol_rel * scale)
-    return mult
-
-
-def _build_tree(pts: np.ndarray, w: np.ndarray, tol_rel: float) -> _Node:
-    m = pts.shape[1]
-    s = _weighted_median(pts[:, 0], w)
-    if m == 1:
-        return _Node(s, None, None, None)
-    up = pts[:, 0] >= s
-    mult = _solve_multipliers(pts, w, s, up, m - 1, tol_rel)
-    upper = _build_tree(_project(pts[up], s, mult, m - 1), w[up], tol_rel)
-    lower = _build_tree(_project(pts[~up], s, mult, m - 1), w[~up], tol_rel)
-    return _Node(s, mult, upper, lower)
+    upper = _build_tree(_project(pu, s, mult, m - 1), wu, tol_rel)
+    if even:
+        lower = _reflect(upper)
+    else:
+        lower = _build_tree(_project(pl, s, mult, m - 1), wl, tol_rel)
+    return _Node(s, mult, upper, lower, 0.5 * (upper.apex + lower.apex))
 
 
 def _reflect(node: _Node) -> _Node:
     """Tree of the point-reflected measure: same multipliers, mirrored splits."""
     if node.mult is None:
-        return _Node(-node.split, None, None, None)
-    return _Node(-node.split, node.mult, _reflect(node.lower), _reflect(node.upper))
+        return _Node(-node.split, None, None, None, -node.apex)
+    return _Node(-node.split, node.mult, _reflect(node.lower), _reflect(node.upper), -node.apex)
 
 
 def _collect_cones(node: _Node, m: int) -> list[np.ndarray]:
@@ -352,7 +335,6 @@ class YaoYaoPartition:
     masses: np.ndarray
     total: float
     mass_tol: float
-    samples_used: int = 0
 
     def __post_init__(self):
         n = len(self.center)
@@ -405,21 +387,16 @@ def load_partition(path) -> YaoYaoPartition:
         masses=np.asarray(data["masses"], dtype=float),
         total=float(data["total"]),
         mass_tol=float(data["mass_tol"]),
-        samples_used=int(data.get("samples", 0)),
     )
 
 
-def assign_cones(partition: YaoYaoPartition, points: np.ndarray) -> np.ndarray:
+def assign_cones(cones, points: np.ndarray) -> np.ndarray:
     """Index of the cone containing each point (ties go to the deepest cone).
 
     Membership is decided by the cone coordinates; every point is assigned
     to the cone whose smallest generator coordinate is largest, so boundary
     points are counted exactly once.
     """
-    return _assign_to_cones(partition.cones, points)
-
-
-def _assign_to_cones(cones, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     best = np.full(len(pts), -np.inf)
     idx = np.zeros(len(pts), dtype=np.intp)
@@ -431,15 +408,10 @@ def _assign_to_cones(cones, points: np.ndarray) -> np.ndarray:
     return idx
 
 
-def yao_yao_equipartition(
-    samples: MeasureSamples,
-    u: np.ndarray | None = None,
-    mass_tol: float = 5e-3,
-) -> YaoYaoPartition:
-    """Equipartition an even sample measure into 2^n cones about direction u.
+def yao_yao_equipartition(samples: MeasureSamples, mass_tol: float = 5e-3) -> YaoYaoPartition:
+    """Equipartition an even sample measure into 2^n cones about its direction u.
 
-    ``u`` defaults to the direction the measure was sampled with.  The axis
-    multipliers are solved on the upper half only and reflected; the
+    The axis multipliers are solved on the upper half only and reflected; the
     resulting cone masses are checked against the sample measure and a
     RuntimeError is raised if any deviates from 2^{-n} by more than
     ``mass_tol`` relative.  A sampled direction-cover self-check guards
@@ -450,51 +422,20 @@ def yao_yao_equipartition(
     n = samples.dim
     if n < 2:
         raise ValueError("partition needs dimension >= 2")
-    if u is None:
-        u = samples.direction
-    else:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (n,):
-            raise ValueError("direction dimension mismatch")
-        u = u / np.linalg.norm(u)
+    u = samples.direction
     basis = orthonormal_basis(u)
     z = samples.points @ basis
     w = samples.weights
-    up = z[:, 0] > 0
-
-    tol_rel = min(mass_tol / 4, 1e-4)
-    zu = z[up]
-    wu = w[up]
-    if wu.sum() <= 0:
-        raise ValueError("degenerate measure: no weight off the base hyperplane")
-
-    # Top level of an even measure: split plane through the origin, apex at
-    # the origin, so the matching conditions reduce to "apex component = 0"
-    # for the projected upper half.
-    mult = np.zeros(n - 1)
-    mult[0] = _weighted_median(zu[:, 1] / zu[:, 0], wu)
-    for k in range(2, n):
-        scale = max(_rms(z[:, k], w), 1e-300)
-
-        def phi(t, _k=k):
-            mult[_k - 1] = t
-            return _center_component(_project(zu, 0.0, mult, _k), wu, _k - 1, tol_rel)
-
-        mult[k - 1] = _solve_decreasing(
-            phi, 0.0, scale / max(_rms(zu[:, 0], wu), 1e-300), tol_rel * scale
-        )
-
-    upper = _build_tree(_project(zu, 0.0, mult, n - 1), wu, tol_rel)
-    root = _Node(0.0, mult, upper, _reflect(upper))
+    root = _build_tree(z, w, min(mass_tol / 4, 1e-4), even=True)
 
     gens_local = _collect_cones(root, n)
     cones = tuple(SimplicialCone(basis @ g) for g in gens_local)
-    axis = basis @ np.concatenate([[1.0], mult])
+    axis = basis @ np.concatenate([[1.0], root.mult])
     axis = axis / np.linalg.norm(axis)
 
     masses = np.zeros(2**n)
     for start in range(0, len(z), _MASS_CHUNK):
-        idx = _assign_to_cones(cones, samples.points[start : start + _MASS_CHUNK])
+        idx = assign_cones(cones, samples.points[start : start + _MASS_CHUNK])
         masses += np.bincount(idx, weights=w[start : start + _MASS_CHUNK], minlength=2**n)
     total = float(masses.sum())
 
@@ -514,7 +455,6 @@ def yao_yao_equipartition(
         masses=masses,
         total=total,
         mass_tol=mass_tol,
-        samples_used=len(samples.points),
     )
 
 
@@ -580,16 +520,6 @@ def cone_to_orthant(cone: SimplicialCone, u: np.ndarray) -> LinearMap:
     return LinearMap((frame * scale) @ np.linalg.inv(full))
 
 
-def shear_partition(partition: YaoYaoPartition) -> list[tuple[LinearMap, SimplicialCone]]:
-    """Per-cone shears straightening the axis generator onto +-direction.
-
-    Returns one (shear, sheared cone) pair per cone, in partition order.
-    Upper and lower cones that share an axis receive the same shear matrix.
-    """
-    u = partition.base_direction
-    return [shear_cone(u, cone)[1:] for cone in partition.cones]
-
-
 def shear_cone(u: np.ndarray, cone: SimplicialCone) -> tuple[float, LinearMap, SimplicialCone]:
     """``(sigma, shear, sheared cone)`` for one partition cone about u.
 
@@ -610,8 +540,6 @@ def dual_partition(partition: YaoYaoPartition) -> tuple[SimplicialCone, ...]:
     a large sampled set of directions and a RuntimeError is raised on
     failure rather than returning a non-covering family.
     """
-    from .geometry import dual_cone
-
     duals = tuple(dual_cone(c) for c in partition.cones)
     _check_cover(duals, 100_000, 54321, "dual cone family does not cover the sphere")
     return duals

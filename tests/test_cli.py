@@ -184,6 +184,15 @@ def test_yaoyao_command(tmp_path, capsys):
     assert "mass fractions" in capsys.readouterr().out
 
 
+def test_yaoyao_collapsed_bracket_exits_0(tmp_path, capsys):
+    # an axis solve on this body collapses its bracket at a residual just
+    # above tolerance; the partition it gives passes the mass check
+    body = tmp_path / "b.json"
+    run("gen", "random-symmetric", "--dim", "3", "--verts", "10", "--seed", "12", "--out", str(body))
+    assert run("yaoyao", str(body), "--seed", "0") == 0
+    assert "worst relative deviation" in capsys.readouterr().out
+
+
 def test_yaoyao_nonconvergence_exit_code(tmp_path):
     body = tmp_path / "b.json"
     run("gen", "cube", "--dim", "2", "--out", str(body))
