@@ -36,10 +36,6 @@ CONTAIN_TOL = 1e-9
 CONTAIN_BLOCK_ELEMENTS = 1 << 16
 # Maps with |det| below this are rejected as singular.
 DET_TOL = 1e-12
-# Above this many candidate n-subsets, the H->V step (vertex enumeration and
-# the orthant clip) switches from the brute-force subset sweep to Qhull
-# halfspace intersection (same exact result).
-BRUTEFORCE_SUBSET_CAP = 500_000
 
 MIN_DIM = 2
 MAX_DIM = 4
@@ -124,8 +120,8 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
     Exact repeats sit next to each other after the sort and only the first of
     each run can survive, so they are collapsed up front.  The near pairs come
-    from one k-d tree query, and the greedy pass (``_greedy_keep``) runs only
-    over the rows that have one.
+    from one k-d tree query, and the greedy pass runs only over the rows that
+    have one.
     """
     order = np.lexsort(rows.T[::-1])
     rs = rows[order]
@@ -139,35 +135,22 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
         return rs
     a, b = pairs[:, 0], pairs[:, 1]  # a < b: a precedes b in lexicographic order
     in_window = rs[a, 0] >= rs[b, 0] - tol
-    return rs[_greedy_keep(rs.shape[0], a[in_window], b[in_window])]
-
-
-def _greedy_keep(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows kept by a greedy scan in row order over near pairs ``(a, b)``,
-    ``a < b``: a row is dropped when an earlier kept row is its partner.
-
-    Each sweep drops every row with a kept earlier partner and keeps every
-    row whose earlier partners are all dropped, so a chain of k near rows
-    takes at most k sweeps.
-    """
-    # state: 1 kept, -1 dropped, 0 undecided; a row with no earlier partner is kept
-    state = np.ones(count, dtype=np.int8)
+    a, b = a[in_window], b[in_window]
+    # The greedy scan in row order, in sweeps over the near pairs: each sweep
+    # drops every row with a kept earlier partner and keeps every row whose
+    # earlier partners are all dropped, so a chain of k near rows takes at
+    # most k sweeps.  state: 1 kept, -1 dropped, 0 undecided; a row with no
+    # earlier partner is kept.
+    state = np.ones(rs.shape[0], dtype=np.int8)
     state[b] = 0
     while True:
         state[b[state[a] == 1]] = -1
         undecided = state == 0
         if not undecided.any():
             break
-        alive = np.bincount(b[state[a] != -1], minlength=count)
+        alive = np.bincount(b[state[a] != -1], minlength=rs.shape[0])
         state[undecided & (alive == 0)] = 1
-    return state == 1
-
-
-def _dedup_in_order(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows within tol (infinity norm) of an earlier kept row, keeping
-    the survivors in their given order."""
-    pairs = cKDTree(rows).query_pairs(tol, p=np.inf, output_type="ndarray")
-    return rows[_greedy_keep(rows.shape[0], pairs[:, 0], pairs[:, 1])]
+    return rs[state == 1]
 
 
 def _facet_test(
@@ -611,30 +594,19 @@ class SimplicialCone:
 
 
 def _halfspace_vertices(a: np.ndarray, b: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """Vertices of the bounded polytope ``{x : a x <= b}``, with repeats.
+    """Vertices of the bounded polytope ``{x : a x <= b}``, possibly with near
+    repeats.
 
-    Solves every n-subset of facet equalities and keeps the feasible
-    solutions, in subset order; a vertex on more than n facets comes out once
-    per subset that meets it.  Above ``BRUTEFORCE_SUBSET_CAP`` candidate
-    subsets the vertices come from Qhull halfspace intersection about the
-    strictly interior point ``interior`` instead (the subset sweep is
-    combinatorial and only meant for desk-scale inputs).
+    One Qhull halfspace intersection about the strictly interior point
+    ``interior``, one point per facet of the dual hull.  Qhull merges the
+    dual facets of a vertex on more than n facets, but a vertex within
+    roundoff of such a position can come out as several points a roundoff
+    apart; callers dedup.
     """
-    m, n = a.shape
-    if math.comb(m, n) > BRUTEFORCE_SUBSET_CAP:
+    try:
         return HalfspaceIntersection(np.column_stack([a, -b]), interior).intersections
-    idx = np.array(list(itertools.combinations(range(m), n)), dtype=int)
-    mats = a[idx]
-    rhs = b[idx]
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-12
-    sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
-    scale = max(1.0, float(np.max(b)))
-    feas = np.max(sols @ a.T - b, axis=1) <= 1e-9 * scale
-    verts = sols[feas]
-    if verts.shape[0] == 0:
-        raise ValueError("no feasible vertices found (inconsistent halfspaces)")
-    return verts
+    except QhullError as exc:
+        raise ValueError(f"halfspace intersection failed: {exc}") from exc
 
 
 def vertex_enumeration(hp: SymmetricHPolytope) -> SymmetricVPolytope:
@@ -716,23 +688,35 @@ def star_triangulation(body: Body) -> np.ndarray:
 
 
 def _star_simplices(body: SymmetricVPolytope) -> np.ndarray:
-    facets = body._facets
+    return _apex_simplices(body.vertices, np.zeros(body.dim), body._facets)
+
+
+def _apex_simplices(
+    verts: np.ndarray, apex: np.ndarray, facets: np.ndarray | None = None
+) -> np.ndarray:
+    """Simplices joining ``apex`` to each hull facet of ``verts``, shape (k, n+1, n).
+
+    The facets are ``facets`` (Qhull simplices of ``verts``) when given, else
+    those of a fresh Qhull.  For a point inside the hull, the simplex volumes
+    sum to the hull's volume.
+    """
     if facets is None:
         try:
-            facets = ConvexHull(body.vertices).simplices
+            facets = ConvexHull(verts).simplices
         except QhullError as exc:
             raise ValueError(f"degenerate polytope: {exc}") from exc
-    n = body.dim
-    facets = body.vertices[facets]  # (k, n, n)
-    dets = np.linalg.det(facets)
+    n = verts.shape[1]
+    facets = verts[facets]  # (k, n, n)
+    dets = np.linalg.det(facets - apex)
     # qhull triangulates merged non-simplicial facets and may emit sliver
     # simplices of zero volume; they contribute nothing to any integral
-    keep = np.abs(dets) >= 1e-14 * max(1.0, body.circumradius) ** n
+    radius = float(np.max(np.linalg.norm(verts - apex, axis=1)))
+    keep = np.abs(dets) >= 1e-14 * max(1.0, radius) ** n
     if not np.any(keep):
-        raise ValueError("degenerate facet in star triangulation")
+        raise ValueError("degenerate polytope: every hull facet is a sliver")
     facets = facets[keep]
-    k = facets.shape[0]
-    simplices = np.zeros((k, n + 1, n))
+    simplices = np.empty((facets.shape[0], n + 1, n))
+    simplices[:, 0, :] = apex
     simplices[:, 1:, :] = facets
     return simplices
 

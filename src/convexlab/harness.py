@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import (
     Body,
@@ -30,7 +29,8 @@ from .geometry import (
     SimplicialCone,
     SymmetricHPolytope,
     SymmetricVPolytope,
-    _dedup_in_order,
+    _apex_simplices,
+    _dedup_rows,
     _halfspace_vertices,
     apply_map,
     dual_cone,
@@ -377,11 +377,12 @@ def _body_halfspaces(body: Body) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _orthant_clip_vertices(body: Body) -> np.ndarray:
-    """Vertices of ``K intersect R^n_+``, deduped in the order they are found.
+    """Vertices of ``K intersect R^n_+``, lexsorted as ``_dedup_rows`` leaves them.
 
-    Bodies with many facets go to Qhull about the strictly interior point
-    ``eps * 1``, which meets every facet inequality of K with at least half
-    its offset to spare.
+    One Qhull halfspace intersection (``_halfspace_vertices``) about the
+    strictly interior point ``eps * 1``, which meets every facet inequality of
+    K with at least half its offset to spare.  Vertices a roundoff apart,
+    which Qhull can give near a vertex on more than n facets, are merged.
     """
     a, b = _body_halfspaces(body)
     n = body.dim
@@ -389,9 +390,10 @@ def _orthant_clip_vertices(body: Body) -> np.ndarray:
     b_full = np.concatenate([b, np.zeros(n)])
     eps = 0.5 * float(np.min(b / np.abs(a).sum(axis=1)))
     verts = _halfspace_vertices(a_full, b_full, np.full(n, eps))
+    verts = _dedup_rows(verts, 1e-10 * max(1.0, float(np.max(b))))
     if verts.shape[0] < n + 1:
         raise ValueError("orthant clip produced too few vertices")
-    return _dedup_in_order(verts, 1e-10 * max(1.0, float(np.max(b))))
+    return verts
 
 
 @dataclass(frozen=True)
@@ -454,17 +456,9 @@ class OrthantRegion:
         if verts is None:
             verts = _orthant_clip_vertices(self.body)
             object.__setattr__(self, "_verts", verts)
-        center = verts.mean(axis=0)
-        try:
-            hull = ConvexHull(verts)
-        except QhullError as exc:
-            raise ValueError(f"degenerate orthant clip: {exc}") from exc
-        facets = verts[hull.simplices]  # (k, n, n)
-        k, n = facets.shape[0], self.dim
-        simplices = np.empty((k, n + 1, n))
-        simplices[:, 0, :] = center
-        simplices[:, 1:, :] = facets
-        m, _ = _simplex_stack_moments(simplices)
+        # about the centroid: the origin is a vertex of the clip, and the
+        # simplices over the facets through it would be flat
+        m, _ = _simplex_stack_moments(_apex_simplices(verts, verts.mean(axis=0)))
         return float(m[i, i])
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .geometry import (
+    CONTAIN_BLOCK_ELEMENTS,
     Body,
     Ellipsoid,
     SymmetricHPolytope,
@@ -76,7 +77,7 @@ def save_records_csv(path, records, meta: dict | None = None) -> None:
     with open(path, "w", newline="") as fh:
         if meta:
             fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for rec in records:
             row = rec.to_json_dict()
@@ -282,9 +283,12 @@ def kt_family(
     h = 1.0 + t * phi
     pre = SymmetricHPolytope(dirs, h)
     verts = pre.to_v().vertices
-    for lo in range(0, len(dirs), 1024):
-        block = slice(lo, min(lo + 1024, len(dirs)))
-        sup = np.max(verts @ dirs[block].T, axis=0)
+    # direction blocks of about CONTAIN_BLOCK_ELEMENTS products, so memory
+    # does not grow with the vertex count (8192 vertices on the 3D K_t)
+    rows = max(1, CONTAIN_BLOCK_ELEMENTS // len(verts))
+    for lo in range(0, len(dirs), rows):
+        block = slice(lo, lo + rows)
+        sup = np.max(dirs[block] @ verts.T, axis=1)
         if np.any(sup < h[block] * (1.0 - 1e-9)):
             raise ValueError(
                 f"support-function condition fails at t = {t:.4g}: "

@@ -34,3 +34,20 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert tracer.calls["moments.mc_volume"] == 1
     assert tracer.counts["geometry.contains.vpoly.2d.points"] == 1_000
     assert np.isfinite(tracer.total["moments.mc_volume"])
+
+
+def test_tracer_records_vertex_enumeration_of_a_polar(monkeypatch):
+    """The polar of a V-polytope goes through ``vertex_enumeration``, the
+    layer the exact-geometry workload declares; a run that records no call
+    to a declared layer fails."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    body = geometry.random_symmetric_polytope(4, 16, seed=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        geometry.polar(body)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["geometry.polar"] == 1
+    assert tracer.calls["geometry.vertex_enumeration"] >= 1

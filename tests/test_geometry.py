@@ -263,6 +263,15 @@ def test_vertex_enumeration_cube():
     assert np.all(np.abs(np.abs(v.vertices) - 1.0) < 1e-9)
 
 
+def test_halfspace_vertices_refuses_a_point_not_interior():
+    """Qhull's error comes out as ValueError (CLI exit 1), not as an
+    unexpected failure."""
+    a = np.vstack([np.eye(2), -np.eye(2)])
+    for point in ([1.0, 0.0], [2.0, 0.0]):
+        with pytest.raises(ValueError, match="halfspace intersection failed"):
+            geometry._halfspace_vertices(a, np.ones(4), np.array(point))
+
+
 def test_polar_of_rotated_cross_is_exact():
     """Rotation leaves some vertex coordinates as roundoff noise around zero;
     the polar pipeline has to survive that (regression)."""

@@ -9,11 +9,13 @@ Frozen closed forms used as oracles:
                       product 1/36 <= (pi/16)^2
 """
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, cKDTree
 
 import convexlab.geometry as geometry
 from convexlab.geometry import (
@@ -44,7 +46,7 @@ from convexlab.harness import (
     _mc_restricted_moment,
 )
 from convexlab.isotropic import isotropize
-from convexlab.moments import mc_volume, second_moment_matrix
+from convexlab.moments import _simplex_stack_moments, mc_volume, second_moment_matrix
 from convexlab.yaoyao import dual_partition, sample_measure, yao_yao_equipartition
 
 E1 = np.array([1.0, 0.0])
@@ -279,7 +281,7 @@ def test_orthant_region_moment_routes(disk):
 
 def test_orthant_clip_4d_bounded():
     """A 4D body with 100 facets has 4.6e6 candidate vertex subsets once the
-    orthant is added; the clip goes to Qhull instead of listing them."""
+    orthant is added; the clip's memory must not grow with that count."""
     region = OrthantRegion(random_symmetric_polytope(4, 16, seed=1))
     tracemalloc.start()
     try:
@@ -293,23 +295,86 @@ def test_orthant_clip_4d_bounded():
     assert abs(est - exact) <= 4.0 * se_mc
 
 
-@pytest.mark.parametrize("n,pairs", [(2, 8), (3, 10)])
-def test_orthant_clip_qhull_matches_sweep(monkeypatch, n, pairs):
-    body = apply_map(
-        LinearMap(np.eye(n) + 0.3 * np.random.default_rng(n).standard_normal((n, n))),
-        random_symmetric_polytope(n, pairs, seed=2),
+def _subset_sweep_vertices(a, b):
+    """Reference H->V solver for the bounded polytope ``{x : a x <= b}``.
+
+    Every vertex solves n of the facet equalities, so solve every n-subset
+    and keep the feasible solutions; a vertex on more than n facets comes out
+    once per subset that meets it.
+    """
+    m, n = a.shape
+    idx = np.array(list(itertools.combinations(range(m), n)))
+    mats, rhs = a[idx], b[idx]
+    ok = np.abs(np.linalg.det(mats)) > 1e-12
+    sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
+    feasible = np.max(sols @ a.T - b, axis=1) <= 1e-9 * max(1.0, float(np.max(b)))
+    return sols[feasible]
+
+
+def _assert_same_vertices(got, ref, tol=1e-9):
+    """The same point sets within tol, with each vertex of ``got`` listed once."""
+    assert np.max(cKDTree(ref).query(got)[0]) <= tol
+    assert np.max(cKDTree(got).query(ref)[0]) <= tol
+    assert not cKDTree(got).query_pairs(tol)
+
+
+def _mapped_random(n, pairs):
+    t = np.eye(n) + 0.3 * np.random.default_rng(n).standard_normal((n, n))
+    return apply_map(LinearMap(t), random_symmetric_polytope(n, pairs, seed=2))
+
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _mapped_random(2, 8),
+    lambda: _mapped_random(3, 10),
+    lambda: _mapped_random(4, 6),
+    lambda: cube(2),
+    lambda: cube(3),
+    lambda: cube(4),  # polar and clip vertices e_i lie on 2^(n-1) facets
+    lambda: cross_polytope(2),
+    lambda: cross_polytope(3),
+    lambda: cross_polytope(4),
+], ids=["random-2d", "random-3d", "random-4d", "cube-2d", "cube-3d", "cube-4d",
+        "cross-2d", "cross-3d", "cross-4d"])
+def test_qhull_matches_subset_sweep(make):
+    """The polar, the orthant clip and the clip's exact moments agree with
+    the subset sweep, also where vertices lie on more than n facets."""
+    body = make()
+    n = body.dim
+    v = body.vertices
+    norms = np.linalg.norm(v, axis=1)
+    w = _subset_sweep_vertices(v / norms[:, None], 1.0 / norms)
+    _assert_same_vertices(polar(body).vertices, w)
+
+    w = geometry._dedup_rows(w, 1e-10)
+    clip = _subset_sweep_vertices(
+        np.vstack([w, -np.eye(n)]), np.concatenate([np.ones(len(w)), np.zeros(n)])
     )
-    routes = []
-    for cap in (geometry.BRUTEFORCE_SUBSET_CAP, 0):
-        monkeypatch.setattr(geometry, "BRUTEFORCE_SUBSET_CAP", cap)
-        region = OrthantRegion(body)
-        moments = [region.coordinate_moment(i, method="exact")[0] for i in range(n)]
-        routes.append((np.unique(np.round(region._verts, 9), axis=0), region._verts, moments))
-    (sweep_set, sweep_verts, sweep), (qhull_set, qhull_verts, qhull) = routes
-    # the same vertices, each listed once
-    np.testing.assert_allclose(qhull_set, sweep_set, atol=1e-9)
-    assert len(sweep_verts) == len(qhull_verts) == len(sweep_set)
-    np.testing.assert_allclose(qhull, sweep, rtol=1e-12)
+    region = OrthantRegion(body)
+    got = [region.coordinate_moment(i, method="exact")[0] for i in range(n)]
+    _assert_same_vertices(region._verts, clip)
+
+    # the sweep's repeats weight the centroid, which stays interior
+    facets = clip[ConvexHull(clip).simplices]
+    simplices = np.concatenate(
+        [np.broadcast_to(clip.mean(axis=0), (len(facets), 1, n)), facets], axis=1
+    )
+    ref, _ = _simplex_stack_moments(simplices)
+    np.testing.assert_allclose(got, np.diag(ref), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orthant_clip_merges_vertices_a_roundoff_apart(n):
+    """Turned by 1e-12 in the (e_1, e_2) plane, the cross-polytope's orthant
+    clip has two vertices 1e-12 apart near e_1, and Qhull reports both.  The
+    clip lists the simplex's n + 1 vertices once each, and its moments stay
+    the simplex's 2/(n+2)! to within the turn."""
+    t = np.eye(n)
+    t[:2, :2] = [[math.cos(1e-12), -math.sin(1e-12)], [math.sin(1e-12), math.cos(1e-12)]]
+    region = OrthantRegion(apply_map(LinearMap(t), cross_polytope(n)))
+    got = [region.coordinate_moment(i, method="exact")[0] for i in range(n)]
+    assert region._verts.shape == (n + 1, n)
+    np.testing.assert_allclose(got, 2.0 / math.factorial(n + 2), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------

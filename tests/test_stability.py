@@ -1,6 +1,7 @@
 """Homothetic distance, ellipsoid fitting, the K_t bump family, and sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,18 @@ def test_kt_3d_constructs():
     assert volume(body) == pytest.approx(unit_ball_volume(3), rel=1e-2)
 
 
+def test_kt_support_check_memory_is_bounded():
+    """The support condition tests 8192 vertices against 4098 directions;
+    1024 directions of that product take 64 MiB, so it must run in blocks."""
+    tracemalloc.start()
+    try:
+        kt_family(3, 0.08)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # sweep and slope fitting
 # ---------------------------------------------------------------------------
@@ -246,6 +259,7 @@ def test_records_csv_format(tmp_path):
     records = kt_sweep(2, [0.05, 0.10], samples=100_000, seed=1)
     path = tmp_path / "sweep.csv"
     save_records_csv(path, records, meta={"seed": 1})
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().splitlines()
     assert lines[0] == '# {"seed": 1}'
     assert lines[1] == (
