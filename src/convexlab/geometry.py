@@ -9,6 +9,9 @@ everything else builds on.
 
 Conventions:
     * polytope halfspaces are stored with unit normals, ``<u_i, x> <= c_i``;
+    * a polytope's facets are read as ``<w, x> <= 1`` over the vertices w of
+      its polar, for both polytope kinds (membership, radial function and
+      orthant clip);
     * an ellipsoid is ``{x : x^T Q x <= 1}`` with ``Q`` symmetric positive
       definite ("shape" matrix);
     * the polar body is ``K* = {y : <x, y> <= 1 for all x in K}``.
@@ -16,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -29,9 +33,9 @@ from scipy.spatial import QhullError
 DEDUP_TOL = 1e-10
 # Default slack for membership tests, in the polar-normalized facet form <w,x> <= 1.
 CONTAIN_TOL = 1e-9
-# Polytope membership forms its (points x facets) product in blocks of about
+# _max_products forms its (points x rows) product in blocks of about
 # CONTAIN_BLOCK_ELEMENTS, so its memory does not grow with the point count;
-# blocks that fit in cache were the fastest size measured.  See _facet_test
+# blocks that fit in cache were the fastest size measured.  See _max_products
 # for the layout of a block.  The polygon path takes that many points a block.
 CONTAIN_BLOCK_ELEMENTS = 1 << 16
 # Maps with |det| below this are rejected as singular.
@@ -100,10 +104,6 @@ class LinearMap:
         pts = np.asarray(points, dtype=float)
         return pts @ self.matrix.T
 
-    @staticmethod
-    def identity(n: int) -> "LinearMap":
-        return LinearMap(np.eye(n))
-
 
 # ---------------------------------------------------------------------------
 # bodies
@@ -153,19 +153,21 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     return rs[state == 1]
 
 
-def _facet_test(
-    pts: np.ndarray, normals: np.ndarray, bound: float, offsets: np.ndarray | None = None
-) -> np.ndarray:
-    """``max_i <u_i, x> / c_i <= bound`` per point (``c_i = 1`` without
-    offsets), in blocks of about ``CONTAIN_BLOCK_ELEMENTS`` products.
+def _max_products(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``max_i <r_i, x>`` for each point x, in blocks of about
+    ``CONTAIN_BLOCK_ELEMENTS`` products.
+
+    Membership passes the polar's vertices as rows, the facets ``<w, x> <= 1``
+    of the body; ``SymmetricVPolytope.support`` passes the body's vertices,
+    with the directions as points.
 
     The maximum is taken along the longer axis of a block.  When a block holds
-    at least as many points as there are facets (m <= 256 facets), it is formed
-    facet-major, ``normals @ block.T``, and folded over the facets with a few
+    at least as many points as there are rows (m <= 256 rows), it is formed
+    row-major, ``rows @ block.T``, and folded over the rows with a few
     contiguous elementwise maxima.  On 2D to 4D bodies with 6 to 100 facets a
     point then costs 9 to 101 ns instead of 75 to 173 ns (10^6 points, one
-    BLAS thread).  With more facets a block is formed point-major and reduced
-    per row: on the 4098 facets of a 3D K_t the facet-major fold was 1.04 to
+    BLAS thread).  With more rows a block is formed point-major and reduced
+    per point: on the 4098 facets of a 3D K_t the row-major fold was 1.04 to
     3.9 times slower at every budget from 2^16 to 2^22 elements.
 
     Every product is blocked, small ones too.  Forming products up to 32 MB
@@ -174,23 +176,16 @@ def _facet_test(
     about 49k, but a peak RSS of 121 MB instead of 105-106 MB, while the
     faults cost only about 0.1 s of system time per round.
     """
-    m = normals.shape[0]
-    rows = max(1, CONTAIN_BLOCK_ELEMENTS // m)
-    facet_major = rows >= m
-    out = np.empty(pts.shape[0], dtype=bool)
-    for lo in range(0, pts.shape[0], rows):
-        block = pts[lo : lo + rows]
-        if facet_major:
-            prod = normals @ block.T
-            if offsets is not None:
-                prod /= offsets[:, None]
-            peak = np.maximum.reduce(prod, axis=0)
+    m = rows.shape[0]
+    per_block = max(1, CONTAIN_BLOCK_ELEMENTS // m)
+    row_major = per_block >= m
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], per_block):
+        block = pts[lo : lo + per_block]
+        if row_major:
+            np.maximum.reduce(rows @ block.T, axis=0, out=out[lo : lo + per_block])
         else:
-            prod = block @ normals.T
-            if offsets is not None:
-                prod /= offsets
-            peak = np.maximum.reduce(prod, axis=1)
-        np.less_equal(peak, bound, out=out[lo : lo + rows])
+            np.maximum.reduce(block @ rows.T, axis=1, out=out[lo : lo + per_block])
     return out
 
 
@@ -335,40 +330,31 @@ class SymmetricVPolytope:
     def dim(self) -> int:
         return self.vertices.shape[1]
 
-    @property
-    def circumradius(self) -> float:
-        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def support(self, u: np.ndarray) -> float | np.ndarray:
         u = np.asarray(u, dtype=float)
-        prods = u @ self.vertices.T if u.ndim > 1 else self.vertices @ u
-        return prods.max(axis=-1)
+        out = _max_products(np.atleast_2d(u), self.vertices)
+        return out[0] if u.ndim == 1 else out
 
     def radial(self, u: np.ndarray) -> float | np.ndarray:
         """Largest s with s*u in the body (ray-facet intersection via the polar)."""
-        sup = polar(self).support(u)
-        return 1.0 / sup
-
-    def _facet_normals(self) -> np.ndarray:
-        # facets of K are <w, x> <= 1 for w a vertex of the polar
-        return polar(self).vertices
+        return 1.0 / polar(self).support(u)
 
     def contains(self, points: np.ndarray, tol: float = CONTAIN_TOL) -> np.ndarray | bool:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if self.dim == 2 and self.vertices.shape[0] >= 64:
-            # in blocks, like _facet_test: a dozen full-length temporaries
+            # in blocks, like _max_products: a dozen full-length temporaries
             # per call would otherwise be returned to the OS and refaulted
             out = np.empty(pts.shape[0], dtype=bool)
             for lo in range(0, pts.shape[0], CONTAIN_BLOCK_ELEMENTS):
                 block = slice(lo, lo + CONTAIN_BLOCK_ELEMENTS)
                 out[block] = self._contains_angular(pts[block], tol)
         else:
-            out = _facet_test(pts, self._facet_normals(), 1.0 + tol)
+            out = _max_products(pts, polar(self).vertices) <= 1.0 + tol
         return bool(out[0]) if single else out
 
     def _contains_angular(self, pts: np.ndarray, tol: float) -> np.ndarray:
@@ -440,18 +426,17 @@ class SymmetricHPolytope:
         return self.normals.shape[1]
 
     def contains(self, points: np.ndarray, tol: float = CONTAIN_TOL) -> np.ndarray | bool:
+        if self.dim == 2:
+            # the vertex form takes the angular test on large polygons
+            return self.to_v().contains(points, tol)
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        # scale-free form <u, x>/c <= 1 + tol, consistent with the V-side test
-        out = _facet_test(pts, self.normals, 1.0 + tol, self.offsets)
+        out = _max_products(np.atleast_2d(pts), polar(self).vertices) <= 1.0 + tol
         return bool(out[0]) if single else out
 
-    def radial(self, u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=float)
-        dots = self.normals @ u
-        pos = dots > 1e-15
-        return float(np.min(self.offsets[pos] / dots[pos]))
+    def radial(self, u: np.ndarray) -> float | np.ndarray:
+        """Largest s with s*u in the body (ray-facet intersection via the polar)."""
+        return 1.0 / polar(self).support(u)
 
     def support(self, u: np.ndarray) -> float | np.ndarray:
         return self.to_v().support(u)
@@ -730,21 +715,6 @@ def dual_cone(cone: SimplicialCone) -> SimplicialCone:
     return SimplicialCone(np.linalg.inv(cone.generators).T)
 
 
-def support(body: Body, u: np.ndarray) -> float | np.ndarray:
-    """Support function ``h_K(u) = max_x <x, u>``."""
-    return body.support(u)
-
-
-def radial(body: Body, u: np.ndarray) -> float | np.ndarray:
-    """Radial function ``rho_K(u) = max {s : s u in K}``."""
-    return body.radial(u)
-
-
-def contains(body: Body, x: np.ndarray, tol: float = CONTAIN_TOL) -> np.ndarray | bool:
-    """Membership test with absolute slack ``tol`` on the normalized facet form."""
-    return body.contains(x, tol)
-
-
 def orthonormal_basis(u: np.ndarray) -> np.ndarray:
     """Orthonormal basis of R^n with first column parallel to u (deterministic)."""
     u = np.asarray(u, dtype=float)
@@ -857,6 +827,18 @@ def write_json(path, data: dict) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def write_csv(path, header, rows, meta: dict | None = None) -> None:
+    """The one CSV artifact format: a leading ``# <json>`` comment whenever meta
+    is given (sorted keys, also for an empty dict), one header row, then the
+    rows; every line ends in a bare line feed."""
+    with open(path, "w", newline="") as fh:
+        if meta is not None:
+            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_body(path, body: Body, extra: dict | None = None) -> None:

@@ -15,7 +15,6 @@ and the body/polar pair restricted to that orthant is handed to
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ from .geometry import (
     orthonormal_basis,
     polar,
     unit_ball_volume,
+    write_csv,
 )
 from .isotropic import IsotropicCertificate
 from .moments import (
@@ -122,19 +122,17 @@ def save_reports_jsonl(path, reports, meta: dict | None = None) -> None:
 
 
 def save_reports_csv(path, reports, meta: dict | None = None) -> None:
-    """CSV with one header row; metadata is carried in a leading # comment."""
-    with open(path, "w", newline="") as fh:
-        if meta is not None:
-            fh.write("# " + json.dumps(dict(meta), sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "lhs", "rhs", "deficit", "tolerance", "method", "seed"])
-        for rep in reports:
-            seed = rep.metadata.get("seed")
-            writer.writerow(
-                [rep.name]
-                + ["%.10g" % v for v in (rep.lhs, rep.rhs, rep.deficit, rep.tolerance)]
-                + [rep.method, "" if seed is None else seed]
-            )
+    """CSV with one header row and %.10g floats (``geometry.write_csv``)."""
+    header = ["name", "lhs", "rhs", "deficit", "tolerance", "method", "seed"]
+    rows = []
+    for rep in reports:
+        seed = rep.metadata.get("seed")
+        rows.append(
+            [rep.name]
+            + ["%.10g" % v for v in (rep.lhs, rep.rhs, rep.deficit, rep.tolerance)]
+            + [rep.method, "" if seed is None else seed]
+        )
+    write_csv(path, header, rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -367,30 +365,22 @@ def cone_sum_reconstruction(
 # ---------------------------------------------------------------------------
 
 
-def _body_halfspaces(body: Body) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(body, SymmetricHPolytope):
-        return body.normals, body.offsets
-    if isinstance(body, SymmetricVPolytope):
-        w = polar(body).vertices
-        return w, np.ones(len(w))
-    raise TypeError("halfspace form requires a polytope")
-
-
 def _orthant_clip_vertices(body: Body) -> np.ndarray:
     """Vertices of ``K intersect R^n_+``, lexsorted as ``_dedup_rows`` leaves them.
 
-    One Qhull halfspace intersection (``_halfspace_vertices``) about the
-    strictly interior point ``eps * 1``, which meets every facet inequality of
-    K with at least half its offset to spare.  Vertices a roundoff apart,
-    which Qhull can give near a vertex on more than n facets, are merged.
+    K's facets are ``<w, x> <= 1`` over the vertices w of its polar.  One
+    Qhull halfspace intersection (``_halfspace_vertices``) about the strictly
+    interior point ``eps * 1``, which meets every facet inequality of K with
+    at least half its offset to spare.  Vertices a roundoff apart, which
+    Qhull can give near a vertex on more than n facets, are merged.
     """
-    a, b = _body_halfspaces(body)
+    w = polar(body).vertices
     n = body.dim
-    a_full = np.vstack([a, -np.eye(n)])
-    b_full = np.concatenate([b, np.zeros(n)])
-    eps = 0.5 * float(np.min(b / np.abs(a).sum(axis=1)))
-    verts = _halfspace_vertices(a_full, b_full, np.full(n, eps))
-    verts = _dedup_rows(verts, 1e-10 * max(1.0, float(np.max(b))))
+    a = np.vstack([w, -np.eye(n)])
+    b = np.concatenate([np.ones(len(w)), np.zeros(n)])
+    eps = 0.5 * float(np.min(1.0 / np.abs(w).sum(axis=1)))
+    verts = _halfspace_vertices(a, b, np.full(n, eps))
+    verts = _dedup_rows(verts, 1e-10)
     if verts.shape[0] < n + 1:
         raise ValueError("orthant clip produced too few vertices")
     return verts
@@ -471,7 +461,7 @@ def orthant_pair(
     the (signed) base direction, and the rotation taking that direction to
     e_1.  Returns ``(X, Y, W)`` with ``X = W(K) cap R^n_+``,
     ``Y = W^{-T}(K*) cap R^n_+`` and ``<W x, e_1> = +-<x, u>``; X and Y are a
-    valid input pair for ``pl_triple_check`` with coordinate 0.
+    valid input pair for ``pl_triple_check``.
     """
     u = partition.base_direction
     sigma, shear, sheared = shear_cone(u, partition.cones[index])
@@ -486,21 +476,21 @@ def orthant_pair(
 def pl_triple_check(
     x_region: OrthantRegion,
     y_region: OrthantRegion,
-    i: int = 0,
     pairs: int = 10**5,
     seed: int = 0,
     moment_samples: int = 10**6,
 ) -> DeficitReport:
     """Product-form Prekopa-Leindler verification for an orthant pair (X, Y).
 
-    With ``f(s) = e^{2 s_i} 1_X(e^s) e^{sum s}`` and likewise g on Y, h on the
-    unit-ball orthant, three checks run:
+    With ``f(s) = e^{2 s_1} 1_X(e^s) e^{sum s}`` and likewise g on Y, h on the
+    unit-ball orthant, three checks run (the first coordinate is the one
+    ``orthant_pair`` straightens the base direction onto):
 
     (a) midpoint hypothesis ``h((s+t)/2) >= sqrt(f(s) g(t))`` on sampled
         log-coordinate pairs -- after the smooth factors cancel this is the
         containment ``sqrt(x*y)`` in the ball, i.e. ``<x, y> <= 1``;
     (b) the integrated inequality ``(int h)^2 - int f int g >= -tol`` via the
-        substitution identity ``int f = int_X x_i^2 dx`` (moments module) and
+        substitution identity ``int f = int_X x_1^2 dx`` (moments module) and
         the closed form ``int h = 2^{-n} omega_n / (n+2)``;
     (c) coordinatewise-geometric-mean containment of sampled pairs in B_2^n.
 
@@ -510,10 +500,8 @@ def pl_triple_check(
     n = x_region.dim
     if y_region.dim != n:
         raise ValueError("X and Y dimensions differ")
-    if not 0 <= i < n:
-        raise ValueError("coordinate index out of range")
-    f_int, f_se = x_region.coordinate_moment(i, samples=moment_samples, seed=seed + 101)
-    g_int, g_se = y_region.coordinate_moment(i, samples=moment_samples, seed=seed + 202)
+    f_int, f_se = x_region.coordinate_moment(0, samples=moment_samples, seed=seed + 101)
+    g_int, g_se = y_region.coordinate_moment(0, samples=moment_samples, seed=seed + 202)
     h_int = 2.0 ** (-n) * reference_ball_moment(n)
     lhs = f_int * g_int
     rhs = h_int * h_int
@@ -535,10 +523,10 @@ def pl_triple_check(
     log_residual = 0.0
     if interior.any():
         xi, yi = xs[interior], ys[interior]
-        f_log = 2 * np.log(xi[:, i]) + np.log(xi).sum(axis=1)
-        g_log = 2 * np.log(yi[:, i]) + np.log(yi).sum(axis=1)
+        f_log = 2 * np.log(xi[:, 0]) + np.log(xi).sum(axis=1)
+        g_log = 2 * np.log(yi[:, 0]) + np.log(yi).sum(axis=1)
         mi = np.sqrt(xi * yi)
-        h_log = 2 * np.log(mi[:, i]) + np.log(mi).sum(axis=1)
+        h_log = 2 * np.log(mi[:, 0]) + np.log(mi).sum(axis=1)
         log_residual = float(np.max(np.abs(h_log - 0.5 * (f_log + g_log))))
 
     sigma = _product_stderr(f_int, f_se, g_int, g_se)

@@ -3,8 +3,8 @@
 A body L is isotropic (normalization-free sense) when its second-moment
 matrix is a scalar multiple of the identity, i.e. the directional moment
 ``u -> integral of <x, u>^2`` is the same in every unit direction.  The
-isotropizing map is the inverse symmetric square root of the moment matrix,
-optionally rescaled so the image has ball volume.  ``target="polar"`` returns
+isotropizing map is the inverse symmetric square root of the exact moment
+matrix.  ``target="polar"`` returns
 the map S to apply to K itself such that (S K)* is isotropic, using
 ``(S K)* = S^{-T} K*``.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Body, LinearMap, apply_map, polar, unit_ball_volume
+from .geometry import Body, LinearMap, apply_map, polar
 from .moments import MomentMatrix, second_moment_matrix, volume
 
 # Eigenvalue ratio beyond which the moment matrix is treated as numerically rank-deficient.
@@ -30,14 +30,6 @@ class IsotropicCertificate:
     off_diag_rel: float
     diag_spread_rel: float
     volume_after: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "map": self.map.matrix.tolist(),
-            "off_diag_rel": self.off_diag_rel,
-            "diag_spread_rel": self.diag_spread_rel,
-            "volume_after": self.volume_after,
-        }
 
 
 def moment_anisotropy(mm: MomentMatrix) -> tuple[float, float]:
@@ -56,33 +48,18 @@ def _symmetric_inv_sqrt(m: np.ndarray) -> np.ndarray:
     return (u / np.sqrt(w)) @ u.T
 
 
-def isotropize(
-    body: Body,
-    normalize: str = "none",
-    target: str = "self",
-    method: str = "auto",
-    samples: int = 10**6,
-    seed: int = 0,
-) -> tuple[LinearMap, Body, IsotropicCertificate]:
-    """Map a body (or its polar) to isotropic position.
+def isotropize(body: Body, target: str = "self") -> tuple[LinearMap, Body, IsotropicCertificate]:
+    """Map a body (or its polar) to isotropic position, on exact moments.
 
     Returns ``(map, image, certificate)`` where ``image = map(body)``.  With
     ``target="self"`` the image itself is isotropic; with ``target="polar"``
-    the polar of the image is.  ``normalize="volume"`` additionally scales the
-    isotropic body to the volume of the unit ball; ``normalize="none"`` leaves
-    scale alone (the moment matrix is then just proportional to the identity).
+    the polar of the image is.  Scale is left alone: the moment matrix is
+    just proportional to the identity.
     """
-    if normalize not in ("none", "volume"):
-        raise ValueError(f"unknown normalize mode {normalize!r}")
     if target not in ("self", "polar"):
         raise ValueError(f"unknown target {target!r}")
-    n = body.dim
     tgt = polar(body) if target == "polar" else body
-    mm = second_moment_matrix(tgt, method=method, samples=samples, seed=seed)
-    t = _symmetric_inv_sqrt(mm.matrix)
-    if normalize == "volume":
-        c = (unit_ball_volume(n) / (mm.volume * np.linalg.det(t))) ** (1.0 / n)
-        t = c * t
+    t = _symmetric_inv_sqrt(second_moment_matrix(tgt, method="exact").matrix)
     if target == "self":
         s = t
     else:
@@ -91,7 +68,7 @@ def isotropize(
     smap = LinearMap(s)
     image = apply_map(smap, body)
     cert_body = image if target == "self" else polar(image)
-    mm_after = second_moment_matrix(cert_body, method=method, samples=samples, seed=seed + 1)
+    mm_after = second_moment_matrix(cert_body, method="exact")
     off, spread = moment_anisotropy(mm_after)
     cert = IsotropicCertificate(
         map=smap,

@@ -77,28 +77,6 @@ class MomentMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "volume": self.volume,
-            "matrix": self.matrix.tolist(),
-            "stderr": None if self.stderr is None else self.stderr.tolist(),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "MomentMatrix":
-        m = np.array(data["matrix"], dtype=float)
-        se = data.get("stderr")
-        return MomentMatrix(
-            dim=m.shape[0],
-            matrix=m,
-            volume=float(data["volume"]),
-            stderr=None if se is None else np.array(se, dtype=float),
-            samples=data.get("samples"),
-            seed=data.get("seed"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # exact route

@@ -9,8 +9,6 @@ ellipsoid distance scales like ``|t|``.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -18,13 +16,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .geometry import (
-    CONTAIN_BLOCK_ELEMENTS,
     Body,
     Ellipsoid,
     SymmetricHPolytope,
     polar,  # not used here; perfbench/test_checks.py asserts the tracer rebinds it
     symmetric_direction_grid,
     unit_ball_volume,
+    write_csv,
 )
 from .harness import ball_deficit, santalo_deficit
 from .moments import box_chunks, second_moment_matrix, volume
@@ -73,29 +71,18 @@ _CSV_COLUMNS = tuple(f.name for f in fields(StabilityRecord))
 
 
 def save_records_csv(path, records, meta: dict | None = None) -> None:
-    """One header row, %.10g floats, optional leading ``#`` metadata comment."""
-    with open(path, "w", newline="") as fh:
-        if meta:
-            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for rec in records:
-            row = rec.to_json_dict()
-            # integers as written, fit_converged as 1/0: every cell parses as a number
-            writer.writerow(
-                [
-                    "%.10g" % row[c] if isinstance(row[c], float) else str(int(row[c]))
-                    for c in _CSV_COLUMNS
-                ]
-            )
-
-
-def _membership_body(body: Body) -> Body:
-    # H-polytope membership is an (m x n) matmul per point block; the vertex
-    # form is never worse and unlocks the O(log m) angular test for polygons
-    if isinstance(body, SymmetricHPolytope):
-        return body.to_v()
-    return body
+    """One header row and %.10g floats (``geometry.write_csv``)."""
+    rows = []
+    for rec in records:
+        row = rec.to_json_dict()
+        # integers as written, fit_converged as 1/0: every cell parses as a number
+        rows.append(
+            [
+                "%.10g" % row[c] if isinstance(row[c], float) else str(int(row[c]))
+                for c in _CSV_COLUMNS
+            ]
+        )
+    write_csv(path, _CSV_COLUMNS, rows, meta)
 
 
 def homothetic_distance(k_body: Body, c_body: Body, samples: int = 10**6, seed: int = 0) -> float:
@@ -110,14 +97,12 @@ def homothetic_distance(k_body: Body, c_body: Body, samples: int = 10**6, seed: 
         raise ValueError("bodies live in different dimensions")
     alpha = volume(k_body) ** (-1.0 / n)
     beta = volume(c_body) ** (-1.0 / n)
-    mk = _membership_body(k_body)
-    mc = _membership_body(c_body)
-    hi = np.maximum(alpha * mk.bounding_box()[1], beta * mc.bounding_box()[1])
+    hi = np.maximum(alpha * k_body.bounding_box()[1], beta * c_body.bounding_box()[1])
     lo = -hi
     box_vol = float(np.prod(hi - lo))
     hits = 0
     for pts in box_chunks(lo, hi, samples, seed):
-        hits += int(np.count_nonzero(mk.contains(pts / alpha) ^ mc.contains(pts / beta)))
+        hits += int(np.count_nonzero(k_body.contains(pts / alpha) ^ c_body.contains(pts / beta)))
     return box_vol * hits / samples
 
 
@@ -191,12 +176,11 @@ def best_fit_ellipsoid(
     n = body.dim
     vol_k = volume(body)
     alpha = vol_k ** (-1.0 / n)
-    memb = _membership_body(body)
-    hi = alpha * memb.bounding_box()[1]
+    hi = alpha * body.bounding_box()[1]
     lo = -hi
     box_vol = float(np.prod(hi - lo))
     mono = [
-        _quadratic_monomials(cloud[memb.contains(cloud / alpha)])
+        _quadratic_monomials(cloud[body.contains(cloud / alpha)])
         for cloud in box_chunks(lo, hi, samples, seed)
     ]
     weight = box_vol / samples
@@ -282,18 +266,11 @@ def kt_family(
     )
     h = 1.0 + t * phi
     pre = SymmetricHPolytope(dirs, h)
-    verts = pre.to_v().vertices
-    # direction blocks of about CONTAIN_BLOCK_ELEMENTS products, so memory
-    # does not grow with the vertex count (8192 vertices on the 3D K_t)
-    rows = max(1, CONTAIN_BLOCK_ELEMENTS // len(verts))
-    for lo in range(0, len(dirs), rows):
-        block = slice(lo, lo + rows)
-        sup = np.max(dirs[block] @ verts.T, axis=1)
-        if np.any(sup < h[block] * (1.0 - 1e-9)):
-            raise ValueError(
-                f"support-function condition fails at t = {t:.4g}: "
-                "ramp clipped by neighboring facets (reduce |t| or widen the radii)"
-            )
+    if np.any(pre.support(dirs) < h * (1.0 - 1e-9)):
+        raise ValueError(
+            f"support-function condition fails at t = {t:.4g}: "
+            "ramp clipped by neighboring facets (reduce |t| or widen the radii)"
+        )
     lam = (unit_ball_volume(n) / volume(pre)) ** (1.0 / n)
     return SymmetricHPolytope(dirs, lam * h)
 

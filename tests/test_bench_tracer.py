@@ -13,6 +13,7 @@ import numpy as np
 
 import convexlab.cli  # noqa: F401  (imports every module the tracer wraps)
 from convexlab import geometry, moments
+from convexlab.stability import kt_family
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -51,3 +52,25 @@ def test_tracer_records_vertex_enumeration_of_a_polar(monkeypatch):
         tracer.uninstall()
     assert tracer.calls["geometry.polar"] == 1
     assert tracer.calls["geometry.vertex_enumeration"] >= 1
+
+
+def test_tracer_records_h_polytope_membership_by_layer(monkeypatch):
+    """A 2D H-polytope tests membership in its vertex form, so the 2D K_t
+    records ``geometry.contains.vpoly_angular.2d``; a 3D H-polytope tests its
+    polar's vertices itself and records under ``geometry.contains.hpoly.3d``
+    only.  kt-stability and moment-oracle declare those layers, and a traced
+    run fails when a declared layer records no call."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    kt = kt_family(2, 0.05)
+    hp = geometry.ball_approx(3, 40, seed=2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        kt.contains(np.zeros((1_000, 2)))
+        hp.contains(np.zeros((500, 3)))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["geometry.contains.vpoly_angular.2d.points"] == 1_000
+    assert tracer.counts["geometry.contains.hpoly.3d.points"] == 500
+    assert "geometry.contains.vpoly.3d" not in tracer.calls

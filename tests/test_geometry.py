@@ -127,23 +127,25 @@ def _clustered_polygon():
 
 def _contains_bodies():
     """2D, 3D and 4D V-polytopes (6, 28 and 100 facets), three polygons on
-    the angular path (an 80-gon, the 2050-gon K_t and a clustered 600-gon)
-    and a 3D H-polytope with non-unit offsets (40 facets)."""
+    the angular path (an 80-gon, the 2050-gon K_t and a clustered 600-gon),
+    the 2D K_t as an H-polytope, which takes the angular path of its vertex
+    form, and a 3D H-polytope with non-unit offsets (40 facets).  The
+    H-polytopes are checked against their own normals and offsets."""
     vps = [random_symmetric_polytope(n, k, seed=4) for n, k in ((2, 3), (3, 10), (4, 16))]
     theta = np.linspace(0.0, 2.0 * np.pi, 80, endpoint=False)
     vps.append(SymmetricVPolytope(np.column_stack([1.3 * np.cos(theta), 0.8 * np.sin(theta)])))
     vps += [kt_family(2, 0.05).to_v(), _clustered_polygon()]
     warp = LinearMap(np.array([[1.5, 0.2, 0.0], [0.0, 0.7, 0.3], [0.1, 0.0, 1.2]]))
-    hp = apply_map(warp, ball_approx(3, 40, seed=2))
-    assert np.ptp(hp.offsets) > 0.1
+    hps = [kt_family(2, 0.05), apply_map(warp, ball_approx(3, 40, seed=2))]
+    assert np.ptp(hps[1].offsets) > 0.1
     cases = [(vp, polar(vp).vertices, np.ones(len(polar(vp).vertices))) for vp in vps]
-    return cases + [(hp, hp.normals, hp.offsets)]
+    return cases + [(hp, hp.normals, hp.offsets) for hp in hps]
 
 
-# Budgets 1, 7 and 100 give every facet test point-major row blocks; 1024
-# gives the 6- and 28-facet bodies facet-major blocks and the others
-# point-major ones; 65536 gives every body facet-major blocks (rows >= facets
-# up to 256 facets).  The polygons run the angular test in blocks of the budget.
+# Budgets 1, 7 and 100 give every body point-major kernel blocks; 1024 gives
+# the 6- and 28-facet bodies row-major blocks and the others point-major
+# ones; 65536 gives every body row-major blocks (points per block >= rows up
+# to 256 rows).  The polygons run the angular test in blocks of the budget.
 @pytest.mark.parametrize("block", [1, 7, 100, 1 << 10, 1 << 16])
 def test_polytope_contains_blocks_match_one_shot(monkeypatch, block):
     monkeypatch.setattr(geometry, "CONTAIN_BLOCK_ELEMENTS", block)
@@ -158,6 +160,26 @@ def test_polytope_contains_blocks_match_one_shot(monkeypatch, block):
             body.contains(pts), _one_shot_facet_test(pts, normals, offsets)
         )
         assert body.contains(np.zeros((0, n))).shape == (0,)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 1 << 10, 1 << 16])
+def test_polytope_support_blocks_match_one_shot(monkeypatch, block):
+    """Support over many directions runs in the membership kernel's blocks,
+    with the body's vertices as rows.  A block of one or two directions
+    rounds differently from the whole product: up to 2 ulps (3.4e-16
+    relative) on the 3D and 4D bodies at budgets 1 and 7, at most 1 ulp
+    elsewhere."""
+    monkeypatch.setattr(geometry, "CONTAIN_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(block)
+    for body, _, _ in _contains_bodies():
+        if not isinstance(body, SymmetricVPolytope):
+            continue
+        dirs = random_directions(body.dim, 777, rng)
+        ref = np.max(dirs @ body.vertices.T, axis=1)
+        got = body.support(dirs)
+        assert got.shape == (777,)
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+        assert body.support(dirs[0]) == pytest.approx(ref[0], rel=1e-15, abs=0)
 
 
 def _ngon(m, aspect=1.0):

@@ -22,6 +22,7 @@ from convexlab.geometry import (
     Ellipsoid,
     LinearMap,
     apply_map,
+    ball_approx,
     cross_polytope,
     cube,
     dual_cone,
@@ -47,6 +48,7 @@ from convexlab.harness import (
 )
 from convexlab.isotropic import isotropize
 from convexlab.moments import _simplex_stack_moments, mc_volume, second_moment_matrix
+from convexlab.stability import kt_family
 from convexlab.yaoyao import dual_partition, sample_measure, yao_yao_equipartition
 
 E1 = np.array([1.0, 0.0])
@@ -159,7 +161,7 @@ def test_directional_rejects_bad_certificate(square):
     from convexlab.isotropic import IsotropicCertificate
 
     fake = IsotropicCertificate(
-        map=LinearMap.identity(2), off_diag_rel=0.5, diag_spread_rel=0.5, volume_after=1.0
+        map=LinearMap(np.eye(2)), off_diag_rel=0.5, diag_spread_rel=0.5, volume_after=1.0
     )
     with pytest.raises(ValueError, match="isotropy"):
         directional_deficit(square, E1, fake)
@@ -363,6 +365,20 @@ def test_qhull_matches_subset_sweep(make):
     np.testing.assert_allclose(got, np.diag(ref), rtol=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: kt_family(2, 0.05),
+    lambda: ball_approx(3, 40, seed=2),
+], ids=["kt-2d", "ball-approx-3d"])
+def test_orthant_moment_of_h_polytope_matches_its_vertex_form(make):
+    """Both polytope kinds clip the facets read off their polar's vertices:
+    an H-polytope's polar is the hull of its scaled normals, a V-polytope's a
+    vertex enumeration, and the two exact moments agree to roundoff."""
+    body = make()
+    got, _ = OrthantRegion(body).coordinate_moment(0)
+    ref, _ = OrthantRegion(body.to_v()).coordinate_moment(0)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_orthant_clip_merges_vertices_a_roundoff_apart(n):
     """Turned by 1e-12 in the (e_1, e_2) plane, the cross-polytope's orthant
@@ -418,6 +434,11 @@ def test_report_files(tmp_path, square):
     assert rows[0] == '# {"seed": 0}'
     assert rows[1].startswith("name,lhs,rhs,deficit")
     assert rows[2].split(",")[0] == "santalo"
+    # an empty meta is still written; None is not
+    save_reports_csv(csvp, reports, meta={})
+    assert csvp.read_text().splitlines() == ["# {}"] + rows[1:]
+    save_reports_csv(csvp, reports)
+    assert csvp.read_text().splitlines() == rows[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from convexlab.geometry import (
     random_symmetric_polytope,
     star_triangulation,
     unit_ball_volume,
-    write_json,
 )
 from convexlab import harness, moments
 from convexlab.isotropic import isotropize
@@ -506,7 +505,7 @@ def test_hull_handoff_guard_takes_both_paths():
 
 
 # ---------------------------------------------------------------------------
-# dataclass and file format
+# dataclass validation
 # ---------------------------------------------------------------------------
 
 
@@ -516,15 +515,3 @@ def test_moment_matrix_validation():
     with pytest.raises(ValueError):
         MomentMatrix(dim=2, matrix=np.eye(3), volume=1.0)
 
-
-def test_moment_matrix_roundtrip(tmp_path):
-    import json
-
-    mm = mc_second_moment(cube(2), 20_000, seed=1)
-    path = tmp_path / "mm.json"
-    write_json(path, {**mm.to_json_dict(), "seed": 1})
-    with open(path) as fh:
-        back = MomentMatrix.from_json_dict(json.load(fh))
-    np.testing.assert_array_equal(back.matrix, mm.matrix)
-    np.testing.assert_array_equal(back.stderr, mm.stderr)
-    assert back.volume == mm.volume

@@ -176,16 +176,32 @@ def test_kt_deterministic_bytes():
 
 
 def test_kt_narrow_ramp_radii_hold_at_tiny_t():
-    # the (1/8, 1/4) chord profile supports only t below about 3e-3
-    body = kt_family(2, 0.002, radii=(0.125, 0.25))
+    # the (1/8, 1/4) chord profile supports t up to 0.0027362825 (by bisection)
     u0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
     far = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    assert body.support(u0) / body.support(far) == pytest.approx(1.002, abs=2e-4)
+    for t in (0.002, 0.00273):
+        body = kt_family(2, t, radii=(0.125, 0.25))
+        assert body.support(u0) / body.support(far) == pytest.approx(1.0 + t, abs=2e-4)
 
 
 def test_kt_narrow_ramp_radii_reject_large_t():
-    with pytest.raises(ValueError, match="support-function condition"):
-        kt_family(2, 0.01, radii=(0.125, 0.25))
+    for t in (0.00274, 0.01):
+        with pytest.raises(ValueError, match="support-function condition"):
+            kt_family(2, t, radii=(0.125, 0.25))
+
+
+def test_kt_membership_matches_its_vertex_form(disk):
+    """A 2D H-polytope tests membership in its vertex form, so the MC
+    distances of the K_t equal those of its ``to_v()`` bit for bit."""
+    body = kt_family(2, 0.05)
+    vbody = body.to_v()
+    assert homothetic_distance(body, disk, 100_000, seed=4) == homothetic_distance(
+        vbody, disk, 100_000, seed=4
+    )
+    ell, a_dist, converged, evals = best_fit_ellipsoid(body, samples=100_000, seed=5)
+    v_ell, v_a_dist, v_converged, v_evals = best_fit_ellipsoid(vbody, samples=100_000, seed=5)
+    np.testing.assert_array_equal(ell.shape, v_ell.shape)
+    assert (a_dist, converged, evals) == (v_a_dist, v_converged, v_evals)
 
 
 def test_kt_parameter_validation():
@@ -276,3 +292,8 @@ def test_records_csv_format(tmp_path):
     path2 = tmp_path / "sweep2.csv"
     save_records_csv(path2, kt_sweep(2, [0.05, 0.10], samples=100_000, seed=1), meta={"seed": 1})
     assert path.read_bytes() == path2.read_bytes()
+    # an empty meta is still written, as by every artifact writer; None is not
+    save_records_csv(path2, records, meta={})
+    assert path2.read_text().splitlines()[:2] == ["# {}", lines[1]]
+    save_records_csv(path2, records)
+    assert path2.read_text().splitlines() == lines[1:]
