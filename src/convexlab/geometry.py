@@ -710,9 +710,10 @@ def dual_cone(cone: SimplicialCone) -> SimplicialCone:
     """Dual cone ``{y : <x, y> >= 0 for all x in the cone}``.
 
     For a simplicial cone with generator matrix G the dual is spanned by the
-    dual basis, i.e. the rows of ``G^{-1}`` (columns of ``G^{-T}``).
+    dual basis, i.e. the rows of ``G^{-1}`` (columns of ``G^{-T}``), read off
+    the cone's cached inverse.
     """
-    return SimplicialCone(np.linalg.inv(cone.generators).T)
+    return SimplicialCone(cone._inverse.T)
 
 
 def orthonormal_basis(u: np.ndarray) -> np.ndarray:

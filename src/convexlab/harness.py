@@ -7,10 +7,10 @@ Carlo route.  Consistency checks (cone-sum reconstruction, the trace identity
 inside the chain bound) are two-sided and marked as such in their metadata.
 
 The orthant machinery at the bottom ties the cone decomposition to the
-product-form Prekopa-Leindler step: a Yao-Yao cone is sheared so its axis
-generator lands on the base direction, straightened onto the first orthant,
-and the body/polar pair restricted to that orthant is handed to
-``pl_triple_check``.
+product-form Prekopa-Leindler step: one unimodular map, read off a Yao-Yao
+cone's inverse generator matrix, takes the cone onto the first orthant with
+its axis generator on e_1, and the body/polar pair restricted to that orthant
+is handed to ``pl_triple_check``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .geometry import (
     _halfspace_vertices,
     apply_map,
     dual_cone,
-    orthonormal_basis,
     polar,
     unit_ball_volume,
     write_csv,
@@ -48,7 +47,7 @@ from .moments import (
     second_moment_matrix,
     volume,
 )
-from .yaoyao import YaoYaoPartition, cone_to_orthant, shear_cone
+from .yaoyao import YaoYaoPartition
 
 EXACT_TOL = 1e-8
 # Number of MC standard errors below zero a deficit may sit before failing.
@@ -455,19 +454,34 @@ class OrthantRegion:
 def orthant_pair(
     body: Body, partition: YaoYaoPartition, index: int
 ) -> tuple[OrthantRegion, OrthantRegion, LinearMap]:
-    """Straighten one partition cone onto the standard orthant, with its dual.
+    """Map one partition cone onto the standard orthant, with its dual.
 
-    Composes the cone's shear, the determinant-balanced straightening about
-    the (signed) base direction, and the rotation taking that direction to
-    e_1.  Returns ``(X, Y, W)`` with ``X = W(K) cap R^n_+``,
-    ``Y = W^{-T}(K*) cap R^n_+`` and ``<W x, e_1> = +-<x, u>``; X and Y are a
-    valid input pair for ``pl_triple_check``.
+    ``W = D P G^{-1}``: G is the cone's unit generator matrix, P moves row j
+    to the front and keeps the other rows in order, and
+    ``D = diag(|h_j|, c, ..., c)`` with ``h_j = <g_j, u>`` and
+    ``c = (|det G| / |h_j|)^{1/(n-1)}``, so ``|det W| = 1``.  The axis
+    generator g_j is the one of largest |height| over u; the other n-1
+    generators lie in u-perp (a ValueError is raised otherwise).  Writing
+    ``x = G a``, only ``a_j g_j`` has height, so ``<x, u> = a_j h_j`` and
+    ``<W x, e_1> = |h_j| a_j = +-<x, u>``.  Conversely ``W^{-1} e_1 =
+    g_j / |h_j|``, the axis generator scaled to unit height.
+
+    Returns ``(X, Y, W)`` with ``X = W(K) cap R^n_+`` and
+    ``Y = W^{-T}(K*) cap R^n_+``; X and Y are a valid input pair for
+    ``pl_triple_check``.
     """
     u = partition.base_direction
-    sigma, shear, sheared = shear_cone(u, partition.cones[index])
-    straighten = cone_to_orthant(sheared, sigma * u)
-    rotate = orthonormal_basis(sigma * u).T
-    w = LinearMap(rotate @ straighten.matrix @ shear.matrix)
+    cone = partition.cones[index]
+    n = cone.dim
+    heights = u @ cone.generators
+    j = int(np.argmax(np.abs(heights)))
+    order = [j] + [i for i in range(n) if i != j]
+    if np.max(np.abs(heights[order[1:]])) > 1e-9:
+        raise ValueError("transverse generators are not in the base hyperplane")
+    h = abs(heights[j])
+    scale = np.full(n, (abs(np.linalg.det(cone.generators)) / h) ** (1.0 / (n - 1)))
+    scale[0] = h
+    w = LinearMap(scale[:, None] * cone._inverse[order])
     x_region = OrthantRegion(apply_map(w, body))
     y_region = OrthantRegion(apply_map(LinearMap(w.inverse_transpose), polar(body)))
     return x_region, y_region, w

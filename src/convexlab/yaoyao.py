@@ -28,7 +28,6 @@ cones.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ import numpy as np
 
 from .geometry import (
     Body,
-    LinearMap,
     SimplicialCone,
     dual_cone,
     orthonormal_basis,
@@ -46,7 +44,6 @@ from .geometry import (
 from .moments import rejection_sample
 
 MIN_SAMPLES = 10_000
-_AXIS_TOL = 1e-9
 _MASS_CHUNK = 2_000_000
 
 
@@ -324,11 +321,10 @@ class YaoYaoPartition:
 
     ``masses`` are the exact (raw) cone masses of the sample measure and
     ``total`` their sum; ``axis`` is the top-level axis v (unit length,
-    ⟨u, v⟩ > 0) and ``center`` the common apex -- always the origin for the
-    even measures handled here.
+    ⟨u, v⟩ > 0).  The common apex is the origin: the measures handled here
+    are even.
     """
 
-    center: np.ndarray
     base_direction: np.ndarray
     axis: np.ndarray
     cones: tuple[SimplicialCone, ...]
@@ -337,7 +333,7 @@ class YaoYaoPartition:
     mass_tol: float
 
     def __post_init__(self):
-        n = len(self.center)
+        n = self.dim
         if len(self.cones) != 2**n:
             raise ValueError(f"expected {2**n} cones, got {len(self.cones)}")
         if len(self.masses) != 2**n:
@@ -349,7 +345,7 @@ class YaoYaoPartition:
 
     @property
     def dim(self) -> int:
-        return len(self.center)
+        return len(self.base_direction)
 
     @property
     def mass_fractions(self) -> np.ndarray:
@@ -368,26 +364,6 @@ class YaoYaoPartition:
 
 def save_partition(path, partition: YaoYaoPartition, extra: dict | None = None) -> None:
     write_json(path, {**partition.to_json_dict(), **(extra or {})})
-
-
-def load_partition(path) -> YaoYaoPartition:
-    with open(path) as fh:
-        data = json.load(fh)
-    for key in ("u", "v", "cones", "masses", "total", "mass_tol"):
-        if key not in data:
-            raise ValueError(f"not a partition file: missing key {key!r}")
-    u = np.asarray(data["u"], dtype=float)
-    return YaoYaoPartition(
-        center=np.zeros(len(u)),
-        base_direction=u,
-        axis=np.asarray(data["v"], dtype=float),
-        cones=tuple(
-            SimplicialCone(np.asarray(c["generators"], dtype=float)) for c in data["cones"]
-        ),
-        masses=np.asarray(data["masses"], dtype=float),
-        total=float(data["total"]),
-        mass_tol=float(data["mass_tol"]),
-    )
 
 
 def assign_cones(cones, points: np.ndarray) -> np.ndarray:
@@ -448,7 +424,6 @@ def yao_yao_equipartition(samples: MeasureSamples, mass_tol: float = 5e-3) -> Ya
         )
     _check_cover(cones, 4096, 12345, "cone complex does not cover the sphere")
     return YaoYaoPartition(
-        center=np.zeros(n),
         base_direction=u,
         axis=axis,
         cones=cones,
@@ -467,70 +442,6 @@ def _check_cover(cones: tuple[SimplicialCone, ...], count: int, seed: int, messa
         covered |= (cone.coordinates(dirs) >= -1e-9).all(axis=1)
     if not covered.all():
         raise RuntimeError(message)
-
-
-# ---------------------------------------------------------------------------
-# maps used by the cone-restricted inequality
-
-
-def shear_to_axis(u: np.ndarray, v: np.ndarray) -> LinearMap:
-    """Volume-preserving shear fixing u^perp pointwise and sending v to <v,u>u.
-
-    T = I - (v - <v,u> u) u^T / <v,u> has unit determinant, preserves the
-    height <x, u> of every point, and acts as the identity on u^perp.
-    Raises if v is (numerically) parallel to the base hyperplane.
-    """
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    v = np.asarray(v, dtype=float)
-    c = float(u @ v)
-    if c <= _AXIS_TOL * np.linalg.norm(v):
-        raise ValueError("axis is not transversal to the base hyperplane")
-    n = len(u)
-    return LinearMap(np.eye(n) - np.outer(v - c * u, u) / c)
-
-
-def cone_to_orthant(cone: SimplicialCone, u: np.ndarray) -> LinearMap:
-    """Unimodular map straightening a sheared partition cone about u.
-
-    Expects a cone of the shape produced by ``shear_to_axis``: one generator
-    equal to u and the remaining n-1 generators in u-perp.  The returned map
-    S fixes u, sends the transverse generators to an orthonormal frame of
-    u-perp scaled by a common factor balancing the determinant to |det S| = 1,
-    and preserves heights: <S x, u> = <x, u>.  The image of the cone is the
-    first orthant of the rotated coordinates (u first).  The inverse
-    transpose of S plays the same role for the dual cone and the polar body.
-    """
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    n = cone.dim
-    heights = u @ cone.generators
-    j = int(np.argmax(heights))
-    if heights[j] < 1.0 - _AXIS_TOL:
-        raise ValueError("u is not a generator of the cone")
-    trans = np.delete(cone.generators, j, axis=1)
-    if np.max(np.abs(u @ trans)) > _AXIS_TOL:
-        raise ValueError("transverse generators are not in the base hyperplane")
-    full = np.column_stack([u, trans])
-    delta = abs(np.linalg.det(full))
-    if delta < 1e-12:
-        raise ValueError("cone generators are numerically dependent")
-    frame = orthonormal_basis(u)
-    scale = np.concatenate([[1.0], np.full(n - 1, delta ** (1.0 / (n - 1)))])
-    return LinearMap((frame * scale) @ np.linalg.inv(full))
-
-
-def shear_cone(u: np.ndarray, cone: SimplicialCone) -> tuple[float, LinearMap, SimplicialCone]:
-    """``(sigma, shear, sheared cone)`` for one partition cone about u.
-
-    The axis generator is the one of largest |height| over u, sigma the sign
-    of that height, and the shear sends it onto ``sigma * u``.
-    """
-    heights = u @ cone.generators
-    j = int(np.argmax(np.abs(heights)))
-    sigma = math.copysign(1.0, heights[j])
-    shear = shear_to_axis(sigma * u, cone.generators[:, j])
-    return sigma, shear, SimplicialCone(shear.matrix @ cone.generators)
 
 
 def dual_partition(partition: YaoYaoPartition) -> tuple[SimplicialCone, ...]:

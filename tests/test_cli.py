@@ -14,7 +14,6 @@ import convexlab.geometry as geometry
 from convexlab.cli import main
 from convexlab.geometry import load_body
 from convexlab.harness import DeficitReport
-from convexlab.yaoyao import load_partition
 
 
 def run(*argv):
@@ -159,6 +158,20 @@ def test_verify_direction_flag(tmp_path, capsys):
     assert capsys.readouterr().out.count("directional") == 1
 
 
+@pytest.mark.parametrize(
+    "dim,extra", [(3, ["--verts", "10"]), (4, ["--verts", "16", "--seed", "1"])], ids=["3d", "4d"]
+)
+def test_verify_pl_beyond_2d(tmp_path, dim, extra):
+    body = tmp_path / "b.json"
+    run("gen", "random-symmetric", "--dim", str(dim), *extra, "--out", str(body))
+    out = tmp_path / "r"
+    assert run("verify", str(body), "--which", "pl", "--samples", "50000", "--out", str(out)) == 0
+    reports = [json.loads(line) for line in (tmp_path / "r.jsonl").read_text().splitlines()[1:]]
+    assert [r["name"] for r in reports] == ["pl-triple"] * 2**dim
+    assert all(r["passed"] for r in reports)
+    assert max(r["metadata"]["hypothesis_margin"] for r in reports) <= 1e-9
+
+
 def test_verify_missing_file():
     assert run("verify", "does-not-exist.json") == 1
 
@@ -179,8 +192,9 @@ def test_yaoyao_command(tmp_path, capsys):
     run("gen", "random-symmetric", "--dim", "2", "--verts", "8", "--seed", "2", "--out", str(body))
     out = tmp_path / "part.json"
     assert run("yaoyao", str(body), "--seed", "4", "--samples", "60000", "--out", str(out)) == 0
-    part = load_partition(out)
-    assert len(part.cones) == 4
+    data = json.loads(out.read_text())
+    assert len(data["cones"]) == 4
+    assert all(np.array(c["generators"]).shape == (2, 2) for c in data["cones"])
     assert "mass fractions" in capsys.readouterr().out
 
 

@@ -21,6 +21,7 @@ import convexlab.geometry as geometry
 from convexlab.geometry import (
     Ellipsoid,
     LinearMap,
+    SimplicialCone,
     apply_map,
     ball_approx,
     cross_polytope,
@@ -49,7 +50,12 @@ from convexlab.harness import (
 from convexlab.isotropic import isotropize
 from convexlab.moments import _simplex_stack_moments, mc_volume, second_moment_matrix
 from convexlab.stability import kt_family
-from convexlab.yaoyao import dual_partition, sample_measure, yao_yao_equipartition
+from convexlab.yaoyao import (
+    YaoYaoPartition,
+    dual_partition,
+    sample_measure,
+    yao_yao_equipartition,
+)
 
 E1 = np.array([1.0, 0.0])
 
@@ -224,18 +230,48 @@ def test_cone_restricted_random_bodies():
 # ---------------------------------------------------------------------------
 
 
-def test_orthant_pair_geometry(square):
-    cloud = sample_measure(square, E1, 60_000, seed=11)
-    part = yao_yao_equipartition(cloud)
-    x_region, y_region, w = orthant_pair(square, part, 0)
-    xs = x_region.sample(2_000, seed=0)
-    assert np.min(xs) >= -1e-9
-    # <W x, e1> = +-<x, u> as linear forms
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((100, 2))
-    lhs = np.abs(w(pts)[:, 0])
-    rhs = np.abs(pts @ E1)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+def test_orthant_pair_geometry():
+    """W = D P G^{-1} on every cone of a square, a 3D and a 4D body, and one
+    off-axis u: unimodular, each generator on a positive multiple of one basis
+    vector (the axis generator on e_1), the first coordinate +-<x, u>, and the
+    dual cone inside the orthant under W^{-T}."""
+    body3 = random_symmetric_polytope(3, 10, 0)
+    cases = [
+        (cube(2), E1),
+        (body3, np.eye(3)[0]),
+        (random_symmetric_polytope(4, 16, 1), np.eye(4)[0]),
+        (body3, np.array([1.0, 2.0, 2.0]) / 3.0),
+    ]
+    for body, u in cases:
+        n = body.dim
+        part = yao_yao_equipartition(sample_measure(body, u, 60_000, seed=11))
+        pts = np.random.default_rng(3).standard_normal((100, n))
+        for index, cone in enumerate(part.cones):
+            x_region, _, w = orthant_pair(body, part, index)
+            assert abs(abs(w.det) - 1.0) <= 1e-12
+            heights = u @ cone.generators
+            j = int(np.argmax(np.abs(heights)))
+            img = w.matrix @ cone.generators
+            rows = np.argmax(img, axis=0)
+            assert rows[j] == 0 and sorted(rows) == list(range(n))
+            assert np.min(img[rows, np.arange(n)]) > 0
+            img[rows, np.arange(n)] = 0.0
+            assert np.max(np.abs(img)) <= 1e-12
+            np.testing.assert_allclose(
+                w(pts)[:, 0], math.copysign(1.0, heights[j]) * (pts @ u), rtol=0, atol=1e-12
+            )
+            assert np.min(w.inverse_transpose @ dual_cone(cone).generators) >= -1e-12
+        assert np.min(x_region.sample(2_000, seed=0)) >= -1e-9
+
+
+def test_orthant_pair_rejects_a_tilted_transverse_generator(square):
+    tilted = SimplicialCone(np.column_stack([E1, [1e-6, 1.0]]))
+    part = YaoYaoPartition(
+        base_direction=E1, axis=E1, cones=(tilted,) * 4,
+        masses=np.ones(4), total=4.0, mass_tol=5e-3,
+    )
+    with pytest.raises(ValueError, match="not in the base hyperplane"):
+        orthant_pair(square, part, 0)
 
 
 def test_orthant_pair_hypothesis(square):

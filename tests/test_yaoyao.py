@@ -1,4 +1,4 @@
-"""Equipartition of the <x,u>^2 measure into 2^n cones, duals, and shears."""
+"""Equipartition of the <x,u>^2 measure into 2^n cones and their duals."""
 
 import itertools
 import math
@@ -12,7 +12,6 @@ from convexlab.geometry import (
     cross_polytope,
     cube,
     dual_cone,
-    orthonormal_basis,
     random_directions,
     random_symmetric_polytope,
 )
@@ -20,13 +19,8 @@ from convexlab.yaoyao import (
     MeasureSamples,
     YaoYaoPartition,
     assign_cones,
-    cone_to_orthant,
     dual_partition,
-    load_partition,
     sample_measure,
-    save_partition,
-    shear_cone,
-    shear_to_axis,
     yao_yao_equipartition,
 )
 
@@ -84,8 +78,7 @@ def test_measure_samples_rejects_wrong_weights():
 def test_equipartition_square(square):
     cloud = sample_measure(square, E1, 100_000, seed=0)
     part = yao_yao_equipartition(cloud)
-    assert len(part.cones) == 4
-    np.testing.assert_allclose(part.center, 0.0, atol=1e-12)
+    assert len(part.cones) == 4 and part.dim == 2
     assert float(part.base_direction @ part.axis) > 0
     np.testing.assert_allclose(part.mass_fractions, 0.25, rtol=5e-3)
 
@@ -191,7 +184,7 @@ def _rotated_orthants(n, rng):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     cones = tuple(SimplicialCone(q * np.array(s)) for s in itertools.product((1.0, -1.0), repeat=n))
     return YaoYaoPartition(
-        center=np.zeros(n), base_direction=q[:, 0], axis=q[:, 0], cones=cones,
+        base_direction=q[:, 0], axis=q[:, 0], cones=cones,
         masses=np.ones(2**n), total=float(2**n), mass_tol=5e-3,
     )
 
@@ -218,7 +211,7 @@ def test_assign_cones_matches_solve(square, n):
 
 
 # ---------------------------------------------------------------------------
-# duals and shears
+# duals
 # ---------------------------------------------------------------------------
 
 
@@ -227,7 +220,7 @@ def test_dual_partition_rejects_a_gap():
     are uncovered, although every direction has one nonnegative coordinate."""
     q1, q3 = SimplicialCone(np.eye(2)), SimplicialCone(-np.eye(2))
     part = YaoYaoPartition(
-        center=np.zeros(2), base_direction=E1, axis=E1, cones=(q1, q3, q1, q3),
+        base_direction=E1, axis=E1, cones=(q1, q3, q1, q3),
         masses=np.ones(4), total=4.0, mass_tol=5e-3,
     )
     with pytest.raises(RuntimeError, match="dual cone family does not cover the sphere"):
@@ -249,69 +242,3 @@ def test_dual_partition_covers(square):
         np.testing.assert_allclose(
             dual_cone(dual).generators, cone.generators, atol=1e-9
         )
-
-
-def test_shear_to_axis_fixes_u_component():
-    u = np.array([1.0, 0.0, 0.0])
-    v = np.array([0.9, 0.3, -0.2])
-    v = v / np.linalg.norm(v)
-    w = shear_to_axis(u, v)
-    # unit determinant and <u, Wx> = <u, x> for all x
-    assert abs(w.det) == pytest.approx(1.0, abs=1e-12)
-    x = np.random.default_rng(2).standard_normal((20, 3))
-    np.testing.assert_allclose(w(x) @ u, x @ u, atol=1e-12)
-    # the axis itself maps onto the u line
-    img = w(v)
-    np.testing.assert_allclose(img[1:], 0.0, atol=1e-12)
-
-
-def test_cone_to_orthant_maps_generators(square):
-    # operates on sheared cones: one generator on the +-u line, the rest in
-    # u-perp; the image is the first orthant of the rotated frame coordinates
-    cloud = sample_measure(square, E1, 60_000, seed=8)
-    part = yao_yao_equipartition(cloud)
-    for cone in part.cones:
-        _, _, sheared = shear_cone(E1, cone)
-        heights = E1 @ sheared.generators
-        sigma = math.copysign(1.0, heights[int(np.argmax(np.abs(heights)))])
-        t = cone_to_orthant(sheared, sigma * E1)
-        assert abs(abs(np.linalg.det(t.matrix)) - 1.0) < 1e-9
-        frame = orthonormal_basis(sigma * E1)
-        img = frame.T @ t.matrix @ sheared.generators
-        assert np.min(img) > -1e-9
-
-
-def test_shear_partition_pairs(square):
-    cloud = sample_measure(square, E1, 60_000, seed=9)
-    part = yao_yao_equipartition(cloud)
-    for cone in part.cones:
-        _, smap, _ = shear_cone(E1, cone)
-        assert abs(smap.det) == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_partition_roundtrip(tmp_path, square):
-    cloud = sample_measure(square, E1, 60_000, seed=10)
-    part = yao_yao_equipartition(cloud)
-    path = tmp_path / "part.json"
-    save_partition(path, part, extra={"seed": 10})
-    back = load_partition(path)
-    np.testing.assert_array_equal(back.axis, part.axis)
-    np.testing.assert_array_equal(back.masses, part.masses)
-    for a, b in zip(back.cones, part.cones):
-        np.testing.assert_array_equal(a.generators, b.generators)
-    # re-save must be byte-identical
-    path2 = tmp_path / "part2.json"
-    save_partition(path2, back, extra={"seed": 10})
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_load_partition_rejects_other_files(tmp_path):
-    path = tmp_path / "x.json"
-    path.write_text('{"u": [1, 0]}\n')
-    with pytest.raises(ValueError, match="missing key"):
-        load_partition(path)
