@@ -201,14 +201,16 @@ def _check_symmetric_rows(rows: np.ndarray, tol: float) -> None:
         raise ValueError("vertex set is not symmetric about the origin")
 
 
-def _canonical_vertices(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _canonical_vertices(
+    vertices: np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Dedup, verify symmetry, reduce to extreme points, make +/- exact.
 
     Returns the canonical vertices, lexsorted as ``_dedup_rows`` leaves them,
-    and the facet simplices of the hull built to find the extreme points.  The
-    simplices are handed on only when that hull's input is the canonical array
-    bit for bit and in the same order, so they are what a fresh Qhull of the
-    canonical vertices returns; otherwise they are None.
+    and the hull built to find the extreme points as its facet simplices and
+    their plane equations.  The hull is handed on only when its input is the
+    canonical array bit for bit and in the same order, so it is what a fresh
+    Qhull of the canonical vertices returns; otherwise it is None.
     """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2:
@@ -232,7 +234,7 @@ def _canonical_vertices(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray | 
     # -x is extreme whenever x is; union with the negation makes pairing exact
     out = _dedup_rows(np.vstack([ext, -ext]), tol)
     same = out.shape == v.shape and out.tobytes() == v.tobytes()
-    return out, hull.simplices if same else None
+    return out, (hull.simplices, hull.equations) if same else None
 
 
 def _angle_bucket(a: np.ndarray, inv_width: float, buckets: int) -> np.ndarray:
@@ -303,28 +305,31 @@ class SymmetricVPolytope:
     dropped, the vertex list is closed under negation, and vertices are sorted
     lexicographically so equal bodies compare equal.
 
-    Like the polar, the star triangulation and the exact moment matrix and
-    volume (``moments``) are computed once and cached on the body; the caches
-    take no part in ``==`` or ``repr``.
+    Like the polar, the hull (``_hull``), the star triangulation and the exact
+    moment matrix and volume (``moments``) are computed once and cached on the
+    body; the caches take no part in ``==`` or ``repr``.
     """
 
     vertices: np.ndarray
     _polar: object = field(default=None, init=False, repr=False, compare=False)
-    # hull facet indices from canonicalization, until star_triangulation uses them
+    # the hull's facet simplices (vertex indices) and their plane equations
     _facets: object = field(default=None, init=False, repr=False, compare=False)
+    _planes: object = field(default=None, init=False, repr=False, compare=False)
     _star: object = field(default=None, init=False, repr=False, compare=False)
     _moment: object = field(default=None, init=False, repr=False, compare=False)
     _volume: object = field(default=None, init=False, repr=False, compare=False)
     _angular: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v, facets = _canonical_vertices(self.vertices)
+        v, hull = _canonical_vertices(self.vertices)
         n = _check_dim(v.shape[1])
         circum = float(np.max(np.linalg.norm(v, axis=1)))
         if np.linalg.matrix_rank(v, tol=1e-10 * max(1.0, circum)) < n:
             raise ValueError("origin is not interior (vertex set not full-dimensional)")
         object.__setattr__(self, "vertices", _freeze(v))
-        object.__setattr__(self, "_facets", facets)
+        if hull is not None:
+            object.__setattr__(self, "_facets", hull[0])
+            object.__setattr__(self, "_planes", hull[1])
 
     @property
     def dim(self) -> int:
@@ -389,12 +394,21 @@ class SymmetricHPolytope:
     The normal set must be closed under negation with matching offsets, all
     offsets strictly positive (origin interior), and the normals must span R^n
     (boundedness).
+
+    Like the polar, the vertices read off the polar's hull (``_dual_facets``),
+    the exact moment matrix and volume (``moments``) and the enumerated vertex
+    form (``to_v``) are computed once and cached on the body; the caches take
+    no part in ``==`` or ``repr``.
     """
 
     normals: np.ndarray
     offsets: np.ndarray
     _vrep: object = field(default=None, init=False, repr=False, compare=False)
     _polar: object = field(default=None, init=False, repr=False, compare=False)
+    _vertices: object = field(default=None, init=False, repr=False, compare=False)
+    _facet: object = field(default=None, init=False, repr=False, compare=False)
+    _moment: object = field(default=None, init=False, repr=False, compare=False)
+    _volume: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.normals, dtype=float)
@@ -439,7 +453,27 @@ class SymmetricHPolytope:
         return 1.0 / polar(self).support(u)
 
     def support(self, u: np.ndarray) -> float | np.ndarray:
-        return self.to_v().support(u)
+        u = np.asarray(u, dtype=float)
+        out = _max_products(np.atleast_2d(u), self._dual_facets()[0])
+        return out[0] if u.ndim == 1 else out
+
+    def _dual_facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The body's vertices, one per true facet of its polar's hull, and
+        the true facet of each hull simplex; computed once and cached.
+
+        Qhull gives every simplex of a merged facet the same plane equation
+        bit for bit, so the distinct equation rows are the true facets.  A
+        facet ``<a, y> + b = 0`` of the polar is the vertex ``-a / b`` of the
+        body (the face lattices of a polytope and its polar are dual).  This
+        enumerates no vertices: ``to_v`` stays the one halfspace intersection.
+        """
+        if self._vertices is None:
+            _, planes = _hull(polar(self))
+            rows, facet = np.unique(planes, axis=0, return_inverse=True)
+            n = self.dim
+            object.__setattr__(self, "_vertices", _freeze(-rows[:, :n] / rows[:, n:]))
+            object.__setattr__(self, "_facet", facet.reshape(-1))
+        return self._vertices, self._facet
 
     def to_v(self) -> SymmetricVPolytope:
         if self._vrep is None:
@@ -656,11 +690,9 @@ def star_triangulation(body: Body) -> np.ndarray:
     origin followed by the n vertices of one hull facet (facets are simplicial
     as returned by Qhull).  Simplex volumes sum to the polytope volume.
 
-    A polytope is hulled once and triangulated once: the facets come from the
-    hull its constructor built when that hull's input was the canonical vertex
-    array, else from a fresh Qhull of the vertices, and the simplices are
-    cached on the vertex polytope like its polar (an H-polytope reaches them
-    through ``to_v``).
+    A polytope is hulled once (``_hull``) and triangulated once, and the
+    simplices are cached on the vertex polytope like its polar (an H-polytope
+    reaches them through ``to_v``).
     """
     if isinstance(body, SymmetricHPolytope):
         body = body.to_v()
@@ -668,12 +700,34 @@ def star_triangulation(body: Body) -> np.ndarray:
         raise TypeError("star triangulation requires a polytope")
     if body._star is None:
         object.__setattr__(body, "_star", _freeze(_star_simplices(body)))
-        object.__setattr__(body, "_facets", None)
     return body._star
 
 
 def _star_simplices(body: SymmetricVPolytope) -> np.ndarray:
-    return _apex_simplices(body.vertices, np.zeros(body.dim), body._facets)
+    return _apex_simplices(body.vertices, np.zeros(body.dim), _hull(body)[0])
+
+
+def _hull(body: SymmetricVPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """Facet simplices (vertex indices) and plane equations of a vertex
+    polytope's Qhull: the hull its constructor built when that hull's input
+    was the canonical vertex array, else one fresh Qhull, cached on the body.
+    """
+    if body._facets is None:
+        try:
+            hull = ConvexHull(body.vertices)
+        except QhullError as exc:
+            raise ValueError(f"degenerate polytope: {exc}") from exc
+        object.__setattr__(body, "_facets", hull.simplices)
+        object.__setattr__(body, "_planes", hull.equations)
+    return body._facets, body._planes
+
+
+def _solid(dets: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Which simplices, given their determinants about the origin, are not
+    slivers: Qhull triangulates merged non-simplicial facets and may emit flat
+    simplices, whose determinant is roundoff and whose volume is zero."""
+    radius = float(np.max(np.linalg.norm(points, axis=1)))
+    return np.abs(dets) >= 1e-14 * max(1.0, radius) ** points.shape[1]
 
 
 def _apex_simplices(
@@ -692,11 +746,7 @@ def _apex_simplices(
             raise ValueError(f"degenerate polytope: {exc}") from exc
     n = verts.shape[1]
     facets = verts[facets]  # (k, n, n)
-    dets = np.linalg.det(facets - apex)
-    # qhull triangulates merged non-simplicial facets and may emit sliver
-    # simplices of zero volume; they contribute nothing to any integral
-    radius = float(np.max(np.linalg.norm(verts - apex, axis=1)))
-    keep = np.abs(dets) >= 1e-14 * max(1.0, radius) ** n
+    keep = _solid(np.linalg.det(facets - apex), verts - apex)
     if not np.any(keep):
         raise ValueError("degenerate polytope: every hull facet is a sliver")
     facets = facets[keep]

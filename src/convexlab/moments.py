@@ -1,31 +1,38 @@
 """Volumes and second-moment matrices of symmetric convex bodies.
 
-Two routes everywhere: exact (star triangulation into simplices with a
-closed-form simplex moment, or closed forms for ellipsoids) and Monte Carlo
-rejection sampling in the bounding box.  Every Monte Carlo route in the
-package draws its uniform box points through ``box_chunks``, ``MC_CHUNK``
-rows at a time (directly, or through ``rejection_sample`` when it needs a
-fixed number of accepted points).  Every sampled integral of the form
-``int f f^T dx`` with ``f`` a linear projection of x -- the moment matrix,
-the directional moment ``int <x, u>^2`` and its cone or orthant restrictions
--- is the one estimator ``box_moments``.  The draws do not depend on the
-chunk size, and accumulation runs in draw order, so results are bit-stable
-for a given seed and chunk size.
+Two routes everywhere: exact and Monte Carlo rejection sampling in the
+bounding box.  The exact route sums closed-form simplex moments: over the
+star triangulation of a vertex polytope, and over a flag decomposition of a
+halfspace polytope read off the one hull of its polar (``_flag_moments``,
+which enumerates no vertices); ellipsoids have closed forms.  Every Monte
+Carlo route in the package draws its uniform box points through
+``box_chunks``, ``MC_CHUNK`` rows at a time (directly, or through
+``rejection_sample`` when it needs a fixed number of accepted points).
+Every sampled integral of the form ``int f f^T dx`` with ``f`` a linear
+projection of x -- the moment matrix, the directional moment
+``int <x, u>^2`` and its cone or orthant restrictions -- is the one
+estimator ``box_moments``.  The draws do not depend on the chunk size, and
+accumulation runs in draw order, so results are bit-stable for a given seed
+and chunk size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .geometry import (
     Body,
     Ellipsoid,
     SymmetricHPolytope,
     SymmetricVPolytope,
-    polar,  # not used here; perfbench/test_checks.py asserts the tracer rebinds it
+    _hull,
+    _solid,
+    polar,
     star_triangulation,
     unit_ball_volume,
 )
@@ -34,6 +41,8 @@ from .geometry import (
 MC_CHUNK = 1 << 16
 # Chunks a fixed-count rejection sampler draws before giving up.
 MAX_REJECT_ROUNDS = 20_000
+# Point subsets per block of the flag decomposition's face-center pass.
+FLAG_BLOCK = 1 << 13
 # Below this acceptance rate the bounding box is so loose the body is treated
 # as degenerate for rejection sampling.
 MIN_ACCEPT_RATE = 1e-4
@@ -125,30 +134,116 @@ def _simplex_stack_moments(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return m, dets
 
 
-def _polytope_moments(body: SymmetricVPolytope | SymmetricHPolytope) -> tuple[MomentMatrix, float]:
-    """Exact moment matrix and volume of a polytope, cached on its vertex form.
+def _parity(perm: tuple[int, ...]) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
-    Both come from the one star triangulation of the body and are computed
-    once, like its polar.  The matrix's volume is the sum of the simplex
-    volumes; the volume is ``sum |det| / n!``, which can differ in the last bit.
+
+def _flag_moments(body: SymmetricHPolytope) -> tuple[np.ndarray, float]:
+    """Moment matrix and volume of ``K = {x : <p_i, x> <= 1}`` from the one
+    hull of its polar ``P = conv(p_i)``, with no vertex enumeration.
+
+    A flag decomposition over the dual face lattice.  Each true facet T of P
+    (``SymmetricHPolytope._dual_facets``) is a vertex ``v_T`` of K.  A set S
+    of points of T spans a face of P, dual to the face of K whose vertices are
+    the ``v_T`` of the true facets holding all of S; their mean ``c_S`` lies in
+    that face.  Each hull simplex s, in each order pi of its n points, gives
+    the piece ``(o, c_{pi_1}, c_{pi_1 pi_2}, ..., c_{pi_1..pi_n-1}, v_T(s))``
+    with signed volume ``sign(det P[s]) * sgn(pi) * det / n!``, and the signed
+    pieces sum to K.  Two things make the sum exact on merged facets:
+
+    * ``c_S`` is keyed by the true facets that hold S, not by the simplices
+      that hold it; Qhull may triangulate a face shared by two merged facets
+      along different diagonals;
+    * the sum is signed, and the flat simplices Qhull's triangulation puts
+      inside a merged facet are dropped, like the slivers of a star
+      triangulation: the others triangulate the facet, and a flat simplex's
+      own sign is roundoff.
     """
-    if isinstance(body, SymmetricHPolytope):
-        body = body.to_v()
+    pol = polar(body)
+    pts = pol.vertices
+    simplices = _hull(pol)[0]
+    verts, facet = body._dual_facets()
+    n, npts = body.dim, pts.shape[0]
+    # point-facet incidence of P, from every simplex (flat ones too)
+    incidence = csr_matrix(
+        (np.ones(simplices.size), (simplices.ravel(), np.repeat(facet, n))),
+        shape=(npts, verts.shape[0]),
+    )
+    incidence.data[:] = 1.0
+    dets = np.linalg.det(pts[simplices])
+    keep = _solid(dets, pts)
+    simplices, facet, orient = simplices[keep], facet[keep], np.sign(dets[keep])
+    # centers[combo]: (c_S for every distinct subset, index of each simplex's subset)
+    centers = {}
+    for k in range(1, n):
+        combos = list(itertools.combinations(range(n), k))
+        # a sorted subset is one integer in base npts, so np.unique runs on a flat array
+        radix = npts ** np.arange(k, dtype=np.int64)
+        codes, which = np.unique(np.sort(simplices[:, combos], axis=2) @ radix, return_inverse=True)
+        keys = codes[:, None] // radix % npts
+        pick = csr_matrix(
+            (np.ones(keys.size), (np.repeat(np.arange(keys.shape[0]), k), keys.ravel())),
+            shape=(keys.shape[0], npts),
+        )
+        mean = np.empty((keys.shape[0], n))
+        # in blocks of subsets: the counts of all of them at once took about
+        # 90 MB on a 4D K_t (110k three-point subsets, about 70 facets each)
+        for lo in range(0, keys.shape[0], FLAG_BLOCK):
+            holds = pick[lo : lo + FLAG_BLOCK] @ incidence
+            holds.data = (holds.data == k).astype(float)  # facets holding all of S
+            mean[lo : lo + FLAG_BLOCK] = (holds @ verts) / np.asarray(holds.sum(axis=1))
+        which = which.reshape(simplices.shape[0], len(combos))
+        for j, combo in enumerate(combos):
+            centers[combo] = (mean, which[:, j])
+    tip = verts[facet]
+    m = np.zeros((n, n))
+    total = 0.0
+    for perm in itertools.permutations(range(n)):
+        rows = (centers[tuple(sorted(perm[:j]))] for j in range(1, n))
+        c = np.stack([mean[idx] for mean, idx in rows] + [tip], axis=1)  # (k, n, n)
+        # the same determinant with v_T taken off the other rows: short edges, small roundoff
+        edges = c - tip[:, None, :]
+        edges[:, -1] = tip
+        w = np.linalg.det(edges) * orient * _parity(perm)
+        s = c.sum(axis=1)
+        m += (c * w[:, None, None]).reshape(-1, n).T @ c.reshape(-1, n)
+        m += (s * w[:, None]).T @ s
+        total += float(np.sum(w))
+    fact = math.factorial(n)
+    return m / (fact * (n + 1) * (n + 2)), total / fact
+
+
+def _polytope_moments(body: SymmetricVPolytope | SymmetricHPolytope) -> tuple[MomentMatrix, float]:
+    """Exact moment matrix and volume of a polytope, computed once and cached
+    on the body, like its polar.
+
+    A vertex polytope takes its one star triangulation: the matrix's volume
+    is the sum of the simplex volumes, and the volume is ``sum |det| / n!``,
+    which can differ in the last bit.  A halfspace polytope takes the flag
+    decomposition of its polar's hull (``_flag_moments``).
+    """
     if body._moment is None:
-        m, dets = _simplex_stack_moments(star_triangulation(body))
-        fact = math.factorial(body.dim)
-        mm = MomentMatrix(dim=body.dim, matrix=m, volume=float(np.sum(dets / fact)))
-        object.__setattr__(body, "_volume", float(np.sum(dets)) / fact)
+        if isinstance(body, SymmetricHPolytope):
+            m, vol = _flag_moments(body)
+            mm = MomentMatrix(dim=body.dim, matrix=m, volume=vol)
+        else:
+            m, dets = _simplex_stack_moments(star_triangulation(body))
+            fact = math.factorial(body.dim)
+            mm = MomentMatrix(dim=body.dim, matrix=m, volume=float(np.sum(dets / fact)))
+            vol = float(np.sum(dets)) / fact
+        object.__setattr__(body, "_volume", vol)
         object.__setattr__(body, "_moment", mm)
     return body._moment, body._volume
 
 
 def volume(body: Body) -> float:
-    """Exact volume: closed form for ellipsoids, star triangulation otherwise."""
+    """Exact volume: closed form for ellipsoids, star triangulation for vertex
+    polytopes, the flag decomposition of the polar's hull for halfspace ones."""
     if isinstance(body, Ellipsoid):
         return body.volume_exact()
     if not isinstance(body, (SymmetricVPolytope, SymmetricHPolytope)):
-        raise TypeError("star triangulation requires a polytope")
+        raise TypeError("an exact volume requires a polytope or an ellipsoid")
     return _polytope_moments(body)[1]
 
 

@@ -14,6 +14,7 @@ import convexlab.geometry as geometry
 from convexlab.cli import main
 from convexlab.geometry import load_body
 from convexlab.harness import DeficitReport
+from convexlab.stability import kt_family
 
 
 def run(*argv):
@@ -88,6 +89,26 @@ def test_compute_hulls_each_body_once(tmp_path, monkeypatch):
     assert run("compute", str(body)) == 0
     assert counts["vpoly"] == 2  # the body and its polar
     assert counts["hull"] <= counts["vpoly"]
+
+
+def test_kt_commands_enumerate_no_vertices(tmp_path, monkeypatch):
+    """A 3D K_t takes its volume, moments and support from its polar's hull:
+    gen, compute and the directional check (and kt_family itself) run no
+    halfspace intersection."""
+    calls = []
+    real = geometry._halfspace_vertices
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_halfspace_vertices", counting)
+    body = tmp_path / "kt3.json"
+    assert run("gen", "kt", "--dim", "3", "--t", "0.08", "--out", str(body)) == 0
+    assert run("compute", str(body)) == 0
+    assert run("verify", str(body), "--which", "directional") == 0
+    kt_family(3, 0.05)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

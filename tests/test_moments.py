@@ -8,17 +8,19 @@ Oracles used below (all elementary integrals):
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 
 from convexlab import geometry
 from convexlab.geometry import (
     Ellipsoid,
     LinearMap,
     SimplicialCone,
+    SymmetricHPolytope,
     SymmetricVPolytope,
     apply_map,
     cross_polytope,
@@ -431,16 +433,21 @@ def _reference_integrals(vertices: np.ndarray):
     lambda: cube(3),
     lambda: random_symmetric_polytope(3, 10, seed=4),  # 14 of 20 points extreme
     lambda: polar(random_symmetric_polytope(4, 16, seed=1)),
-    lambda: geometry.ball_approx(3, 24, seed=2),  # reached through to_v()
+    lambda: geometry.ball_approx(3, 24, seed=2),  # moments from its polar's hull
 ], ids=["cube", "interior-points", "polar-4d", "h-polytope"])
 def test_one_hull_and_one_triangulation_per_body(make, hull_calls):
     body = make()
     built = hull_calls["hull"]
     mm = second_moment_matrix(body)
     vol = volume(body)
-    simplices = star_triangulation(body)
-    # the constructor's hull is reused when it can be; else one more Qhull
+    # the constructor's hull is reused when it can be; else one more Qhull.
+    # An H-polytope's moments cost the one Qhull of its polar and no star.
     assert hull_calls["hull"] - built <= 1
+    assert hull_calls["star"] == (0 if isinstance(body, SymmetricHPolytope) else 1)
+    simplices = star_triangulation(body)
+    if isinstance(body, SymmetricHPolytope):
+        # its star triangulation still goes through to_v(), one more Qhull
+        assert hull_calls["hull"] - built <= 2
     assert hull_calls["star"] == 1
     after = dict(hull_calls)
     for _ in range(3):
@@ -500,8 +507,124 @@ def test_hull_handoff_guard_takes_both_paths():
     assert SymmetricVPolytope(_CUBE3)._facets is not None
     assert SymmetricVPolytope(np.vstack([_CUBE3, _pm(np.eye(3))]))._facets is None
     body = SymmetricVPolytope(_CUBE3)
+    facets = body._facets
     star_triangulation(body)
-    assert body._facets is None  # the indices are dropped once the simplices exist
+    # the indices stay: the flag route of the polar body reads them too
+    assert body._facets is facets and body._planes is not None
+
+
+# ---------------------------------------------------------------------------
+# halfspace polytopes: moments from the polar's hull (flag decomposition)
+# ---------------------------------------------------------------------------
+
+
+def _h_cross(n: int) -> SymmetricHPolytope:
+    """The cross-polytope as halfspaces; its polar's points are the cube's
+    vertices, whose hull merges coplanar triangles into square facets."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    return SymmetricHPolytope(signs, np.ones(len(signs)))
+
+
+def _h_cube(n: int) -> SymmetricHPolytope:
+    return SymmetricHPolytope(np.vstack([np.eye(n), -np.eye(n)]), np.ones(2 * n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["cross", "cube"])
+def test_h_polytope_moments_closed_forms(kind, n):
+    """Cube and cross-polytope as halfspaces, without enumerating a vertex.
+    The cross-polytope's polar hull has merged facets (the 4D cube's 8
+    facets come as 58 Qhull simplices): its face centers must be keyed by
+    true facets, and its flat simplices must not count."""
+    body = _h_cross(n) if kind == "cross" else _h_cube(n)
+    if kind == "cross":
+        vol, diag = 2.0**n / math.factorial(n), 2.0 ** (n + 1) / math.factorial(n + 2)
+    else:
+        vol, diag = 2.0**n, 2.0**n / 3.0
+    mm = second_moment_matrix(body)
+    assert body._vrep is None
+    assert volume(body) == pytest.approx(vol, rel=1e-15)
+    assert mm.volume == volume(body)
+    np.testing.assert_allclose(mm.matrix, diag * np.eye(n), rtol=1e-15, atol=1e-16 * diag)
+
+
+def _star_route(body: SymmetricHPolytope):
+    """Volume and moment matrix through the vertex form and its star."""
+    vbody = SymmetricHPolytope(body.normals, body.offsets).to_v()
+    return volume(vbody), second_moment_matrix(vbody).matrix
+
+
+_RANDOM_H = {
+    "ball-approx-2d": lambda: geometry.ball_approx(2, 30, seed=1),
+    "ball-approx-3d": lambda: geometry.ball_approx(3, 60, seed=2),
+    "ball-approx-4d": lambda: geometry.ball_approx(4, 80, seed=3),
+    "image-3d": lambda: apply_map(
+        LinearMap(np.random.default_rng(4).normal(size=(3, 3)) + 2 * np.eye(3)),
+        geometry.ball_approx(3, 40, seed=4)),
+    "image-4d": lambda: apply_map(
+        LinearMap(np.random.default_rng(5).normal(size=(4, 4)) + 2 * np.eye(4)),
+        geometry.ball_approx(4, 60, seed=5)),
+    "kt-2d": lambda: kt_family(2, 0.05, grid_size=256),
+    "kt-3d": lambda: kt_family(3, 0.05, grid_size=2048),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANDOM_H))
+def test_h_polytope_moments_match_the_star_route(name):
+    body = _RANDOM_H[name]()
+    mm = second_moment_matrix(body)
+    assert body._vrep is None  # no vertex enumeration on the exact path
+    vol, m = _star_route(body)
+    assert volume(body) == pytest.approx(vol, rel=1e-13)
+    np.testing.assert_allclose(mm.matrix, m, rtol=0, atol=1e-13 * np.max(np.abs(m)))
+
+
+def _det3(a):
+    return (a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
+            - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
+            + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0]))
+
+
+def test_h_polytope_moments_against_long_double_reference():
+    """3D K_t in extended precision: each vertex solves its three facet
+    equations by Cramer's rule in long double, and the star of the vertex
+    form's hull is summed in long double.  The flag route's moment error is
+    no larger than the star route's."""
+    ld = np.longdouble
+    if np.finfo(ld).eps >= 1e-18:
+        pytest.skip("long double is no wider than double here")
+    body = kt_family(3, 0.05, grid_size=2048)
+    mm = second_moment_matrix(body)
+    verts, facet = body._dual_facets()
+    pol = polar(body)
+    simplices = geometry._hull(pol)[0]
+    assert len(np.unique(facet)) == len(facet)  # simplicial: one simplex per facet
+    # the polar's points in long double, from the stored normals and offsets
+    rows = cKDTree(body.normals / body.offsets[:, None]).query(pol.vertices)[1]
+    p = body.normals.astype(ld)[rows] / body.offsets.astype(ld)[rows][:, None]
+    a = p[simplices]
+    exact = np.empty((len(simplices), 3), dtype=ld)
+    for j in range(3):
+        b = a.copy()
+        b[:, :, j] = 1
+        exact[:, j] = _det3(b) / _det3(a)
+    star_body = SymmetricHPolytope(body.normals, body.offsets).to_v()
+    star = star_triangulation(star_body)[:, 1:, :]
+    dist, near = cKDTree(verts[facet]).query(star.reshape(-1, 3))
+    assert dist.max() < 1e-12
+    s3 = exact[near].reshape(-1, 3, 3)
+    w = np.abs(_det3(s3))
+    tot = s3.sum(axis=1)
+    ref = (np.einsum("k,kvi,kvj->ij", w, s3, s3) + np.einsum("k,ki,kj->ij", w, tot, tot)) / 120
+    ref_vol = w.sum() / 6
+
+    def err(m):
+        return float(np.max(np.abs(m.astype(ld) - ref)) / np.max(np.abs(ref)))
+
+    flag_err, star_err = err(mm.matrix), err(second_moment_matrix(star_body).matrix)
+    assert flag_err <= star_err
+    assert flag_err < 4e-15
+    assert abs(float(volume(body) / ref_vol) - 1.0) < 1e-15
 
 
 # ---------------------------------------------------------------------------

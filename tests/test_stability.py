@@ -192,7 +192,11 @@ def test_kt_narrow_ramp_radii_reject_large_t():
 
 def test_kt_membership_matches_its_vertex_form(disk):
     """A 2D H-polytope tests membership in its vertex form, so the MC
-    distances of the K_t equal those of its ``to_v()`` bit for bit."""
+    distances of the K_t equal those of its ``to_v()`` bit for bit.  The fit
+    starts from each body's own exact moment: the H body's comes from its
+    polar's hull and the vertex form's from its star, which agree to about
+    5e-15, so the fitted shapes, and the fresh-seed distance to them, agree
+    to a tolerance, not bit for bit; the search itself takes the same steps."""
     body = kt_family(2, 0.05)
     vbody = body.to_v()
     assert homothetic_distance(body, disk, 100_000, seed=4) == homothetic_distance(
@@ -200,8 +204,9 @@ def test_kt_membership_matches_its_vertex_form(disk):
     )
     ell, a_dist, converged, evals = best_fit_ellipsoid(body, samples=100_000, seed=5)
     v_ell, v_a_dist, v_converged, v_evals = best_fit_ellipsoid(vbody, samples=100_000, seed=5)
-    np.testing.assert_array_equal(ell.shape, v_ell.shape)
-    assert (a_dist, converged, evals) == (v_a_dist, v_converged, v_evals)
+    np.testing.assert_allclose(ell.shape, v_ell.shape, rtol=0, atol=1e-13)
+    assert a_dist == pytest.approx(v_a_dist, rel=1e-13, abs=0)
+    assert (converged, evals) == (v_converged, v_evals)
 
 
 def test_kt_parameter_validation():

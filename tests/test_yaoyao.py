@@ -15,6 +15,7 @@ from convexlab.geometry import (
     random_directions,
     random_symmetric_polytope,
 )
+from convexlab import yaoyao
 from convexlab.yaoyao import (
     MeasureSamples,
     YaoYaoPartition,
@@ -138,6 +139,50 @@ def test_equipartition_pinned_values():
     assert parts[1].masses[:2].tolist() == pytest.approx(
         [428.1670260241321, 428.49898052791684], rel=1e-12
     )
+
+
+def _stable_weighted_median(values, weights):
+    """The weighted median as computed with a stable sort throughout."""
+    order = np.argsort(values, kind="stable")
+    w = weights[order]
+    return float(np.interp(0.5 * w.sum(), np.cumsum(w) - 0.5 * w, values[order]))
+
+
+def test_weighted_median_matches_the_stable_sort():
+    """Distinct values, values with many ties (0.0 and -0.0 among them), and
+    two tied halves of equal weight, where the median interpolates between
+    the last weight of one tie run and the first of the next, so that it
+    depends on the order of tied weights (an unstable sort moves it).  Ties
+    fall back to the stable sort, and the median is its value bit for bit."""
+    rng = np.random.default_rng(3)
+    for size in (2, 8, 100, 1000, 100_000):
+        distinct = rng.normal(size=size)
+        rounded = np.round(distinct * 4) / 4
+        rounded[::3] = 0.0
+        rounded[1::7] = -0.0
+        halves = rng.permutation(np.repeat([0.0, 1.0], size // 2))
+        half_weights = rng.uniform(0.1, 2.0, size // 2)
+        weights = np.empty(size)
+        weights[halves == 0.0] = half_weights
+        weights[halves == 1.0] = rng.permutation(half_weights)
+        for values in (distinct, rounded, halves):
+            got = yaoyao._weighted_median(values, weights)
+            assert got == _stable_weighted_median(values, weights)
+
+
+def test_equipartition_matches_the_stable_sort(monkeypatch):
+    """3D and 4D partitions are bit for bit those of a stable-sort median."""
+    for n, verts in ((3, 10), (4, 16)):
+        body = random_symmetric_polytope(n, verts, seed=1)
+        cloud = sample_measure(body, np.eye(n)[0], 20_000, seed=2)
+        fast = yao_yao_equipartition(cloud)
+        with monkeypatch.context() as m:
+            m.setattr(yaoyao, "_weighted_median", _stable_weighted_median)
+            ref = yao_yao_equipartition(cloud)
+        assert fast.axis.tobytes() == ref.axis.tobytes()
+        assert fast.masses.tobytes() == ref.masses.tobytes()
+        for a, b in zip(fast.cones, ref.cones):
+            assert a.generators.tobytes() == b.generators.tobytes()
 
 
 def test_equipartition_custom_direction(square):
