@@ -690,14 +690,12 @@ def star_triangulation(body: Body) -> np.ndarray:
     origin followed by the n vertices of one hull facet (facets are simplicial
     as returned by Qhull).  Simplex volumes sum to the polytope volume.
 
-    A polytope is hulled once (``_hull``) and triangulated once, and the
-    simplices are cached on the vertex polytope like its polar (an H-polytope
-    reaches them through ``to_v``).
+    A vertex polytope is hulled once (``_hull``) and triangulated once, and
+    the simplices are cached on it like its polar.  A halfspace polytope has
+    no star triangulation: its exact moments come from its polar's hull.
     """
-    if isinstance(body, SymmetricHPolytope):
-        body = body.to_v()
     if not isinstance(body, SymmetricVPolytope):
-        raise TypeError("star triangulation requires a polytope")
+        raise TypeError("star triangulation requires a vertex polytope")
     if body._star is None:
         object.__setattr__(body, "_star", _freeze(_star_simplices(body)))
     return body._star
@@ -711,6 +709,10 @@ def _hull(body: SymmetricVPolytope) -> tuple[np.ndarray, np.ndarray]:
     """Facet simplices (vertex indices) and plane equations of a vertex
     polytope's Qhull: the hull its constructor built when that hull's input
     was the canonical vertex array, else one fresh Qhull, cached on the body.
+
+    The hull outlives the star triangulation: the flag route of an
+    H-polytope reads its polar's hull, often after that polar's star was
+    built (``isotropize`` takes the polar's moments first).
     """
     if body._facets is None:
         try:

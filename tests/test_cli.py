@@ -94,21 +94,36 @@ def test_compute_hulls_each_body_once(tmp_path, monkeypatch):
 def test_kt_commands_enumerate_no_vertices(tmp_path, monkeypatch):
     """A 3D K_t takes its volume, moments and support from its polar's hull:
     gen, compute and the directional check (and kt_family itself) run no
-    halfspace intersection."""
+    halfspace intersection, and one Qhull per polar they build (the polar's
+    hull is still there when the flag route reads it, after the polar's own
+    star in the isotropic step of verify)."""
     calls = []
-    real = geometry._halfspace_vertices
+    hulls = {"n": 0}
+    real, real_hull = geometry._halfspace_vertices, geometry.ConvexHull
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
+    def counting_hull(*args, **kwargs):
+        hulls["n"] += 1
+        return real_hull(*args, **kwargs)
+
     monkeypatch.setattr(geometry, "_halfspace_vertices", counting)
+    monkeypatch.setattr(geometry, "ConvexHull", counting_hull)
     body = tmp_path / "kt3.json"
-    assert run("gen", "kt", "--dim", "3", "--t", "0.08", "--out", str(body)) == 0
-    assert run("compute", str(body)) == 0
-    assert run("verify", str(body), "--which", "directional") == 0
+    per_command = []
+    for args, polars in [
+        (("gen", "kt", "--dim", "3", "--t", "0.08", "--out", str(body)), 1),  # the unscaled body's
+        (("compute", str(body)), 1),
+        (("verify", str(body), "--which", "directional"), 2),  # the body's and its isotropic image's
+    ]:
+        before = hulls["n"]
+        assert run(*args) == 0
+        per_command.append((hulls["n"] - before, polars))
     kt_family(3, 0.05)
     assert calls == []
+    assert all(got == want for got, want in per_command)
 
 
 # ---------------------------------------------------------------------------

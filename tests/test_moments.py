@@ -443,18 +443,19 @@ def test_one_hull_and_one_triangulation_per_body(make, hull_calls):
     # the constructor's hull is reused when it can be; else one more Qhull.
     # An H-polytope's moments cost the one Qhull of its polar and no star.
     assert hull_calls["hull"] - built <= 1
-    assert hull_calls["star"] == (0 if isinstance(body, SymmetricHPolytope) else 1)
-    simplices = star_triangulation(body)
-    if isinstance(body, SymmetricHPolytope):
-        # its star triangulation still goes through to_v(), one more Qhull
-        assert hull_calls["hull"] - built <= 2
-    assert hull_calls["star"] == 1
+    halfspace = isinstance(body, SymmetricHPolytope)
+    if halfspace:
+        with pytest.raises(TypeError, match="vertex polytope"):
+            star_triangulation(body)
+    simplices = None if halfspace else star_triangulation(body)
+    assert hull_calls["star"] == (0 if halfspace else 1)
     after = dict(hull_calls)
     for _ in range(3):
         assert second_moment_matrix(body) is mm
         assert second_moment_matrix(body, method="exact") is mm
         assert volume(body) == vol
-        assert star_triangulation(body) is simplices
+        if not halfspace:
+            assert star_triangulation(body) is simplices
     assert hull_calls == after
 
 
