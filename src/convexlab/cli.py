@@ -86,8 +86,8 @@ def _parse_direction(text: str, n: int) -> np.ndarray:
         raise ValueError(f"--direction has {len(parts)} components, body has dimension {n}")
     u = np.array(parts)
     norm = float(np.linalg.norm(u))
-    if norm <= 0:
-        raise ValueError("--direction must be nonzero")
+    if not 0 < norm < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"--direction must be finite and nonzero, got {text!r}")
     return u / norm
 
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection, cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 from scipy.spatial import QhullError
 
 # Absolute vertex dedup tolerance, applied after rescaling to circumradius <= 10.
@@ -396,9 +396,9 @@ class SymmetricHPolytope:
     (boundedness).
 
     Like the polar, the vertices read off the polar's hull (``_dual_facets``),
-    the exact moment matrix and volume (``moments``) and the enumerated vertex
-    form (``to_v``) are computed once and cached on the body; the caches take
-    no part in ``==`` or ``repr``.
+    the exact moment matrix and volume (``moments``) and the vertex form built
+    from those vertices (``to_v``) are computed once and cached on the body;
+    the caches take no part in ``==`` or ``repr``.
     """
 
     normals: np.ndarray
@@ -458,21 +458,14 @@ class SymmetricHPolytope:
         return out[0] if u.ndim == 1 else out
 
     def _dual_facets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The body's vertices, one per true facet of its polar's hull, and
-        the true facet of each hull simplex; computed once and cached.
-
-        Qhull gives every simplex of a merged facet the same plane equation
-        bit for bit, so the distinct equation rows are the true facets.  A
-        facet ``<a, y> + b = 0`` of the polar is the vertex ``-a / b`` of the
-        body (the face lattices of a polytope and its polar are dual).  This
-        enumerates no vertices: ``to_v`` stays the one halfspace intersection.
-        """
+        """The body's one vertex set, read off its polar's hull planes
+        (``_plane_vertices``), and the true facet of each hull simplex."""
         if self._vertices is None:
-            _, planes = _hull(polar(self))
-            rows, facet = np.unique(planes, axis=0, return_inverse=True)
-            n = self.dim
-            object.__setattr__(self, "_vertices", _freeze(-rows[:, :n] / rows[:, n:]))
-            object.__setattr__(self, "_facet", facet.reshape(-1))
+            # polar(V) sets the body as its H-form's polar: no second polar call
+            pol = self._polar if self._polar is not None else polar(self)
+            verts, facet = _plane_vertices(_hull(pol)[1])
+            object.__setattr__(self, "_vertices", _freeze(verts))
+            object.__setattr__(self, "_facet", facet)
         return self._vertices, self._facet
 
     def to_v(self) -> SymmetricVPolytope:
@@ -612,40 +605,45 @@ class SimplicialCone:
 # ---------------------------------------------------------------------------
 
 
-def _halfspace_vertices(a: np.ndarray, b: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """Vertices of the bounded polytope ``{x : a x <= b}``, possibly with near
-    repeats.
+def _plane_vertices(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one halfspace-to-vertex step: each distinct plane
+    ``<a, y> + b = 0`` of a hull about the origin is the vertex ``-a / b`` of
+    its polar, and the distinct plane of each row.  Qhull gives every simplex
+    of a merged facet the same plane bit for bit."""
+    rows, facet = np.unique(planes, axis=0, return_inverse=True)
+    return -rows[:, :-1] / rows[:, -1:], facet.reshape(-1)
 
-    One Qhull halfspace intersection about the strictly interior point
-    ``interior``, one point per facet of the dual hull.  Qhull merges the
-    dual facets of a vertex on more than n facets, but a vertex within
-    roundoff of such a position can come out as several points a roundoff
-    apart; callers dedup.
-    """
+
+def _halfspace_vertices(a: np.ndarray, b: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """Vertices of the bounded polytope ``{x : a x <= b}``.  About its
+    strictly interior point z it is ``{y : <p_i, y> <= 1}`` with
+    ``p_i = a_i / (b_i - <a_i, z>)``, read off the one Qhull of the p_i.  A
+    vertex near one on more than n facets can come out as near repeats;
+    callers dedup."""
+    slack = b - a @ interior
+    if not np.all(slack > 0):
+        raise ValueError("halfspace intersection failed: the point is not strictly interior")
     try:
-        return HalfspaceIntersection(np.column_stack([a, -b]), interior).intersections
+        planes = ConvexHull(a / slack[:, None]).equations
     except QhullError as exc:
         raise ValueError(f"halfspace intersection failed: {exc}") from exc
+    return _plane_vertices(planes)[0] + interior
 
 
 def vertex_enumeration(hp: SymmetricHPolytope) -> SymmetricVPolytope:
-    """Exact vertex set of a halfspace-represented polytope.
-
-    The candidates of ``_halfspace_vertices`` (about the origin) are deduped
-    within the standard tolerance by the vertex-polytope constructor.
-    """
-    verts = _halfspace_vertices(hp.normals, hp.offsets, np.zeros(hp.dim))
-    # the facet set is symmetric, so the true vertex set is too; closing the
-    # candidates under negation protects against one-sided tolerance cutoffs
+    """Vertex form of an H-polytope from its ``_dual_facets``, closed under
+    negation so that the constructor's deduped input is its canonical output
+    and the constructor hands its hull on."""
+    verts = hp._dual_facets()[0]
     return SymmetricVPolytope(np.vstack([verts, -verts]))
 
 
 def polar(body: Body) -> Body:
     """Polar body ``{y : <x, y> <= 1 for all x in K}``.
 
-    Vertex polytope -> facet polytope -> vertex enumeration; halfspace
-    polytope -> convex hull of ``u_i / c_i``; ellipsoid -> shape inverse.
-    The result is cached on the body.
+    Vertex polytope -> facet polytope, its vertices read off the body's hull
+    (``vertex_enumeration``); halfspace polytope -> convex hull of ``u_i /
+    c_i``; ellipsoid -> shape inverse.  The result is cached on the body.
     """
     cached = getattr(body, "_polar", None)
     if cached is not None:
@@ -656,6 +654,7 @@ def polar(body: Body) -> Body:
         if np.any(norms <= 0):
             raise ValueError("origin not interior: unbounded polar")
         hp = SymmetricHPolytope(v / norms[:, None], 1.0 / norms)
+        object.__setattr__(hp, "_polar", body)
         out = vertex_enumeration(hp)
     elif isinstance(body, SymmetricHPolytope):
         out = SymmetricVPolytope(body.normals / body.offsets[:, None])

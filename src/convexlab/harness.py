@@ -72,6 +72,8 @@ class DeficitReport:
     def __post_init__(self):
         if self.method not in ("exact", "mc"):
             raise ValueError(f"method must be 'exact' or 'mc', got {self.method!r}")
+        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+            raise ValueError(f"{self.name}: lhs and rhs must be finite")
         scale = max(1.0, abs(self.lhs), abs(self.rhs))
         if abs(self.deficit - (self.rhs - self.lhs)) > 1e-12 * scale:
             raise ValueError("deficit does not equal rhs - lhs")
@@ -367,11 +369,10 @@ def cone_sum_reconstruction(
 def _orthant_clip_vertices(body: Body) -> np.ndarray:
     """Vertices of ``K intersect R^n_+``, lexsorted as ``_dedup_rows`` leaves them.
 
-    K's facets are ``<w, x> <= 1`` over the vertices w of its polar.  One
-    Qhull halfspace intersection (``_halfspace_vertices``) about the strictly
-    interior point ``eps * 1``, which meets every facet inequality of K with
-    at least half its offset to spare.  Vertices a roundoff apart, which
-    Qhull can give near a vertex on more than n facets, are merged.
+    K's facets are ``<w, x> <= 1`` over the vertices w of its polar.  The
+    clip's vertices are read off one Qhull of its dual points
+    (``_halfspace_vertices``) about ``eps * 1``, which meets every facet of K
+    with at least half its offset to spare; near repeats are merged.
     """
     w = polar(body).vertices
     n = body.dim

@@ -218,6 +218,19 @@ def test_verify_bad_direction_length(tmp_path):
     assert run("verify", str(body), "--which", "directional", "--direction", "1,0,0") == 1
 
 
+@pytest.mark.parametrize("direction", ["nan,1", "inf,1", "1,-inf"])
+def test_verify_refuses_a_non_finite_direction(tmp_path, capsys, direction):
+    """A NaN direction gave a NaN deficit, which ``deficit < -tolerance``
+    let pass with exit 0."""
+    body = tmp_path / "b.json"
+    run("gen", "cube", "--dim", "2", "--out", str(body))
+    capsys.readouterr()
+    assert run("verify", str(body), "--which", "directional", "--direction", direction) == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "PASS" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # yaoyao / stability
 # ---------------------------------------------------------------------------

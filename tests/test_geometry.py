@@ -1,11 +1,13 @@
 """Body types, polarity, maps, grids, and serialization round-trips."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import convexlab.geometry as geometry
 from convexlab.geometry import (
@@ -278,11 +280,43 @@ def test_polar_support_radial_duality():
         assert b.support(u) * polar(b).radial(u) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_vertex_enumeration_cube():
-    hp = SymmetricHPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
-    v = vertex_enumeration(hp)
-    assert v.vertices.shape == (8, 3)
-    assert np.all(np.abs(np.abs(v.vertices) - 1.0) < 1e-9)
+def _h_cross(n):
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    return SymmetricHPolytope(signs, np.ones(len(signs)))
+
+
+def _h_random(n, pairs):
+    rng = np.random.default_rng(n)
+    u = random_directions(n, pairs, rng)
+    c = rng.uniform(0.6, 1.4, pairs)
+    return SymmetricHPolytope(np.vstack([u, -u]), np.concatenate([c, c]))
+
+
+_H_BODIES = {
+    "cube-3d": lambda: SymmetricHPolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
+    **{f"cross-{n}d": (lambda n=n: _h_cross(n)) for n in (2, 3, 4)},
+    **{f"random-{n}d": (lambda n=n: _h_random(n, 3 * n)) for n in (2, 3, 4)},
+    "kt-2d": lambda: kt_family(2, 0.05, grid_size=256),
+}
+
+
+@pytest.mark.parametrize("name", list(_H_BODIES))
+def test_vertex_enumeration_cube(name, subset_sweep_vertices):
+    """The vertices read off the polar's hull planes are the subset sweep's,
+    each once, also where a vertex lies on more than n facets (the
+    cross-polytope's e_i on 2^(n-1)); and ``to_v`` is built from exactly
+    them, so an H-polytope has one vertex set.  (The 3D K_t, too large for
+    the sweep, is checked against scipy's halfspace intersection in
+    ``test_h_polytope_moments_against_long_double_reference``.)"""
+    hp = _H_BODIES[name]()
+    got = vertex_enumeration(hp).vertices
+    ref = subset_sweep_vertices(hp.normals, hp.offsets)
+    assert np.max(cKDTree(ref).query(got)[0]) <= 1e-9
+    assert np.max(cKDTree(got).query(ref)[0]) <= 1e-9
+    dual = hp._dual_facets()[0]
+    assert len(dual) == len(got)
+    closed = SymmetricVPolytope(np.vstack([dual, -dual])).vertices
+    np.testing.assert_array_equal(hp.to_v().vertices, closed)
 
 
 def test_halfspace_vertices_refuses_a_point_not_interior():

@@ -9,7 +9,6 @@ Frozen closed forms used as oracles:
                       product 1/36 <= (pi/16)^2
 """
 
-import itertools
 import math
 import tracemalloc
 
@@ -333,22 +332,6 @@ def test_orthant_clip_4d_bounded():
     assert abs(est - exact) <= 4.0 * se_mc
 
 
-def _subset_sweep_vertices(a, b):
-    """Reference H->V solver for the bounded polytope ``{x : a x <= b}``.
-
-    Every vertex solves n of the facet equalities, so solve every n-subset
-    and keep the feasible solutions; a vertex on more than n facets comes out
-    once per subset that meets it.
-    """
-    m, n = a.shape
-    idx = np.array(list(itertools.combinations(range(m), n)))
-    mats, rhs = a[idx], b[idx]
-    ok = np.abs(np.linalg.det(mats)) > 1e-12
-    sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
-    feasible = np.max(sols @ a.T - b, axis=1) <= 1e-9 * max(1.0, float(np.max(b)))
-    return sols[feasible]
-
-
 def _assert_same_vertices(got, ref, tol=1e-9):
     """The same point sets within tol, with each vertex of ``got`` listed once."""
     assert np.max(cKDTree(ref).query(got)[0]) <= tol
@@ -374,18 +357,18 @@ def _mapped_random(n, pairs):
     lambda: cross_polytope(4),
 ], ids=["random-2d", "random-3d", "random-4d", "cube-2d", "cube-3d", "cube-4d",
         "cross-2d", "cross-3d", "cross-4d"])
-def test_qhull_matches_subset_sweep(make):
+def test_qhull_matches_subset_sweep(make, subset_sweep_vertices):
     """The polar, the orthant clip and the clip's exact moments agree with
     the subset sweep, also where vertices lie on more than n facets."""
     body = make()
     n = body.dim
     v = body.vertices
     norms = np.linalg.norm(v, axis=1)
-    w = _subset_sweep_vertices(v / norms[:, None], 1.0 / norms)
+    w = subset_sweep_vertices(v / norms[:, None], 1.0 / norms)
     _assert_same_vertices(polar(body).vertices, w)
 
     w = geometry._dedup_rows(w, 1e-10)
-    clip = _subset_sweep_vertices(
+    clip = subset_sweep_vertices(
         np.vstack([w, -np.eye(n)]), np.concatenate([np.ones(len(w)), np.zeros(n)])
     )
     region = OrthantRegion(body)
@@ -455,6 +438,15 @@ def test_report_passed_logic():
     assert not two_sided_off.passed
     two_sided_ok = DeficitReport("x", 1.0, 1.0005, 0.0005, 1e-3, "mc", {"two_sided": True})
     assert two_sided_ok.passed
+
+
+@pytest.mark.parametrize(
+    "lhs,rhs", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)]
+)
+def test_report_refuses_non_finite_sides(lhs, rhs):
+    """A NaN deficit is never below -tolerance, so a NaN report would pass."""
+    with pytest.raises(ValueError, match="finite"):
+        DeficitReport("x", lhs, rhs, rhs - lhs, 1e-8, "exact", {})
 
 
 def test_report_files(tmp_path, square):

@@ -459,6 +459,26 @@ def test_one_hull_and_one_triangulation_per_body(make, hull_calls):
     assert hull_calls == after
 
 
+@pytest.mark.parametrize("make,hulls", [
+    (lambda: cube(3), 1),  # the polar's constructor
+    (lambda: random_symmetric_polytope(4, 16, seed=1), 2),  # and the body's own hull
+], ids=["cube", "random-4d"])
+def test_polar_reads_the_body_hull(make, hulls, hull_calls):
+    """The polar of a V-polytope reads its vertices off the body's hull and
+    runs no halfspace intersection, so it and both bodies' moments take no
+    more Qhulls than the body's hull and the polar's constructor.  The read
+    vertices are closed under negation, so the polar's constructor hands its
+    hull on and the polar's star reuses it."""
+    body = make()
+    built = hull_calls["hull"]
+    pol = polar(body)
+    assert pol._facets is not None
+    second_moment_matrix(body)
+    second_moment_matrix(pol)
+    assert hull_calls["hull"] - built <= hulls
+    assert hull_calls["star"] == 2
+
+
 def _pm(points: np.ndarray) -> np.ndarray:
     return np.vstack([points, -points])
 
@@ -549,12 +569,6 @@ def test_h_polytope_moments_closed_forms(kind, n):
     np.testing.assert_allclose(mm.matrix, diag * np.eye(n), rtol=1e-15, atol=1e-16 * diag)
 
 
-def _star_route(body: SymmetricHPolytope):
-    """Volume and moment matrix through the vertex form and its star."""
-    vbody = SymmetricHPolytope(body.normals, body.offsets).to_v()
-    return volume(vbody), second_moment_matrix(vbody).matrix
-
-
 _RANDOM_H = {
     "ball-approx-2d": lambda: geometry.ball_approx(2, 30, seed=1),
     "ball-approx-3d": lambda: geometry.ball_approx(3, 60, seed=2),
@@ -571,11 +585,14 @@ _RANDOM_H = {
 
 
 @pytest.mark.parametrize("name", sorted(_RANDOM_H))
-def test_h_polytope_moments_match_the_star_route(name):
+def test_h_polytope_moments_match_the_star_route(name, qhull_vertex_form):
+    """The flag route against the star of a vertex form enumerated apart
+    from the plane read the flag route shares with ``to_v``."""
     body = _RANDOM_H[name]()
     mm = second_moment_matrix(body)
-    assert body._vrep is None  # no vertex enumeration on the exact path
-    vol, m = _star_route(body)
+    assert body._vrep is None  # no vertex form on the exact path
+    vbody = qhull_vertex_form(body)
+    vol, m = volume(vbody), second_moment_matrix(vbody).matrix
     assert volume(body) == pytest.approx(vol, rel=1e-13)
     np.testing.assert_allclose(mm.matrix, m, rtol=0, atol=1e-13 * np.max(np.abs(m)))
 
@@ -586,11 +603,11 @@ def _det3(a):
             + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0]))
 
 
-def test_h_polytope_moments_against_long_double_reference():
+def test_h_polytope_moments_against_long_double_reference(qhull_vertex_form):
     """3D K_t in extended precision: each vertex solves its three facet
-    equations by Cramer's rule in long double, and the star of the vertex
-    form's hull is summed in long double.  The flag route's moment error is
-    no larger than the star route's."""
+    equations by Cramer's rule in long double, and the star of a vertex form
+    enumerated apart from the flag route is summed in long double.  The flag
+    route's moment error is no larger than the star route's."""
     ld = np.longdouble
     if np.finfo(ld).eps >= 1e-18:
         pytest.skip("long double is no wider than double here")
@@ -609,7 +626,7 @@ def test_h_polytope_moments_against_long_double_reference():
         b = a.copy()
         b[:, :, j] = 1
         exact[:, j] = _det3(b) / _det3(a)
-    star_body = SymmetricHPolytope(body.normals, body.offsets).to_v()
+    star_body = qhull_vertex_form(body)
     star = star_triangulation(star_body)[:, 1:, :]
     dist, near = cKDTree(verts[facet]).query(star.reshape(-1, 3))
     assert dist.max() < 1e-12

@@ -8,7 +8,6 @@ import pytest
 
 from convexlab.geometry import (
     LinearMap,
-    SymmetricVPolytope,
     apply_map,
     cross_polytope,
     cube,
@@ -160,13 +159,14 @@ def test_kt_volume_normalized():
 
 
 @pytest.mark.parametrize("n,t", [(2, 0.04), (2, 0.12), (3, 0.08)])
-def test_kt_volume_matches_its_vertex_form(n, t):
+def test_kt_volume_matches_its_vertex_form(n, t, qhull_vertex_form):
     """The rescaling takes the volume of the flag route, which enumerates no
-    vertices; it is within a few ulps of the star triangulation of the
-    enumerated vertex form, so the offsets move by about one ulp at most."""
+    vertices; it is within a few ulps of the star triangulation of a vertex
+    form enumerated apart from it, so the offsets move by about one ulp at
+    most."""
     for seed_grid in range(3):
         body = kt_family(n, t, seed_grid=seed_grid)
-        assert volume(body) == pytest.approx(volume(body.to_v()), rel=1e-15, abs=0)
+        assert volume(body) == pytest.approx(volume(qhull_vertex_form(body)), rel=1e-15, abs=0)
 
 
 def test_kt_bump_direction():
@@ -201,16 +201,17 @@ def test_kt_narrow_ramp_radii_reject_large_t():
             kt_family(2, t, radii=(0.125, 0.25))
 
 
-def test_kt_membership_matches_its_vertex_form(disk):
+def test_kt_membership_matches_its_vertex_form(disk, qhull_vertex_form):
     """A 2D H-polytope tests membership in its vertex form, so the MC
-    distances of the K_t equal those of its ``to_v()`` bit for bit.
+    distances of the K_t equal those of a vertex form enumerated apart from
+    its own (``to_v``) bit for bit.
 
     The fit also starts from the body's exact moment and volume.  The H
     body's come from its polar's hull and the vertex form's from its star;
     they agree to a tolerance, not bit for bit, so a fresh vertex form is
     given the H body's, and membership is left the one difference."""
     body = kt_family(2, 0.05)
-    vbody = SymmetricVPolytope(body.to_v().vertices)
+    vbody = qhull_vertex_form(body)
     assert homothetic_distance(body, disk, 100_000, seed=4) == homothetic_distance(
         vbody, disk, 100_000, seed=4
     )
