@@ -11,7 +11,6 @@ error, 2 inequality violation, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -252,10 +251,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _verify_cones(body, args, reports)
     if which in ("pl", "all"):
         _verify_pl(body, args, reports)
-    if args.tol is not None:
-        reports = [
-            dataclasses.replace(rep, tolerance=max(rep.tolerance, args.tol)) for rep in reports
-        ]
     for rep in reports:
         _print_report(rep)
     _write_reports(args.out, reports, _run_config(args))
@@ -340,8 +335,6 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="check inequalities on a body")
     p_verify.add_argument("body")
     p_verify.add_argument("--which", choices=VERIFY_WHICH, default="all")
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="floor for per-report tolerances")
     p_verify.add_argument("--mass-tol", type=float, default=5e-3)
     p_verify.add_argument("--direction", type=str, default=None,
                           help="comma-separated components, e.g. 1,0 (normalized)")

@@ -204,7 +204,11 @@ def _check_symmetric_rows(rows: np.ndarray, tol: float) -> None:
 def _canonical_vertices(
     vertices: np.ndarray,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Dedup, verify symmetry, reduce to extreme points, make +/- exact.
+    """Dedup, verify symmetry, reduce to extreme points, close under negation.
+
+    The closure holds within the dedup tolerance only: a near cluster keeps
+    its first row, so x may face -x' (54 of the 100 rows of the polar of
+    ``random_symmetric_polytope(4, 16, 1)`` have no exact negative).
 
     Returns the canonical vertices, lexsorted as ``_dedup_rows`` leaves them,
     and the hull built to find the extreme points as its facet simplices and
@@ -231,7 +235,7 @@ def _canonical_vertices(
     except QhullError as exc:
         raise ValueError(f"degenerate vertex set (flat or too few points): {exc}") from exc
     ext = v[hull.vertices]
-    # -x is extreme whenever x is; union with the negation makes pairing exact
+    # -x is extreme whenever x is; the union pairs every vertex within tol
     out = _dedup_rows(np.vstack([ext, -ext]), tol)
     same = out.shape == v.shape and out.tobytes() == v.tobytes()
     return out, (hull.simplices, hull.equations) if same else None
@@ -302,8 +306,9 @@ class SymmetricVPolytope:
     """Origin-symmetric polytope given by its vertices.
 
     The constructor canonicalizes: duplicates and non-extreme points are
-    dropped, the vertex list is closed under negation, and vertices are sorted
-    lexicographically so equal bodies compare equal.
+    dropped, the vertex list is closed under negation within the dedup
+    tolerance, and vertices are sorted lexicographically so equal bodies
+    compare equal.
 
     Like the polar, the hull (``_hull``), the star triangulation and the exact
     moment matrix and volume (``moments``) are computed once and cached on the

@@ -10,6 +10,7 @@ ellipsoid distance scales like ``|t|``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -40,6 +41,9 @@ SWEEP_T_CAP = 0.12
 MIN_GRID = {2: 256, 3: 2048, 4: 4096}
 DEFAULT_GRID = {2: 2048, 3: 4096, 4: 8192}
 MAX_FIT_ITER = 500
+# Sizes of the fit's product rule on S^(n-1) (``_sphere_rule``).  In 4D a
+# random grid of 8192 directions fit K_0.08 worse (A 0.0231 against 0.0217).
+SPHERE_RULE = {2: (1024,), 3: (32, 64), 4: (16, 32, 32)}
 
 
 @dataclass(frozen=True)
@@ -130,18 +134,55 @@ def _sym_logm(q: np.ndarray) -> np.ndarray:
     return (v * np.log(w)) @ v.T
 
 
-def _quadratic_monomials(pts: np.ndarray) -> np.ndarray:
-    """Rows ``[x_1^2, .., x_n^2, 2 x_i x_j (i < j)]``, so that ``x^T Q x`` is the
-    row times ``_vec_from_sym(Q)``."""
-    iu = np.triu_indices(pts.shape[1], k=1)
-    return np.column_stack([pts * pts, 2.0 * pts[:, iu[0]] * pts[:, iu[1]]])
+def _sphere_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and weights of the product rule of ``SPHERE_RULE`` on S^(n-1).
+
+    Even angles on S^1.  On S^2, Gauss-Legendre in z = cos(polar angle) times
+    even azimuths, as dsigma = dz dphi.  On S^3, Hopf coordinates
+    ``(sqrt(s) e^(ia), sqrt(1 - s) e^(ib))`` with Gauss-Legendre in s and even
+    angles a and b, as dsigma = ds da db / 2.  The weights sum to |S^(n-1)|.
+    """
+    sizes = SPHERE_RULE[n]
+    if n == 2:
+        a = 2.0 * np.pi * np.arange(sizes[0]) / sizes[0]
+        return np.column_stack([np.cos(a), np.sin(a)]), np.full(a.size, 2.0 * np.pi / a.size)
+    x, wx = np.polynomial.legendre.leggauss(sizes[0])
+    angles = [2.0 * np.pi * np.arange(m) / m for m in sizes[1:]]
+    grid = np.meshgrid(x, *angles, indexing="ij")
+    cell = math.prod(2.0 * np.pi / m for m in sizes[1:])
+    weights = np.multiply.outer(cell * wx, np.ones(sizes[1:]))
+    if n == 3:
+        z, a = grid
+        dirs = [np.sqrt(1.0 - z * z) * np.cos(a), np.sqrt(1.0 - z * z) * np.sin(a), z]
+    else:
+        # s = (x + 1) / 2 on [0, 1]: ds = dx / 2, and dsigma carries another 1/2
+        x, a, b = grid
+        p, q = np.sqrt(0.5 * (1.0 + x)), np.sqrt(0.5 * (1.0 - x))
+        dirs = [p * np.cos(a), p * np.sin(a), q * np.cos(b), q * np.sin(b)]
+        weights *= 0.25
+    return np.stack(dirs, axis=-1).reshape(-1, n), weights.reshape(-1)
 
 
-def _count_inside(mono: list[np.ndarray], q: np.ndarray, level: float) -> int:
-    """Number of cloud points with ``x^T q x <= level``; ``mono`` holds the
-    quadratic monomials of the cloud in blocks."""
-    w = _vec_from_sym(q)
-    return sum(int(np.count_nonzero(block @ w <= level)) for block in mono)
+def _radial_distance(body: Body) -> Callable[[np.ndarray], float]:
+    """``q -> A(K, E_q)`` by the radial volume formula on ``_sphere_rule``.
+
+    ``|A delta B| = (1/n) int_{S^(n-1)} |rho_A^n - rho_B^n| dsigma``, with K
+    scaled by ``|K|^(-1/n)`` and ``E_q = {x : x^T q x <= 1}`` by
+    ``|E_q|^(-1/n)``, so ``rho^n`` is ``rho_K^n / |K|`` and ``(u^T q u)^(-n/2)
+    sqrt(det q) / omega_n``.  The body's radial function is read once; each
+    value is then one weighted sum over the rule's directions.
+    """
+    n = body.dim
+    dirs, weights = _sphere_rule(n)
+    rho_k = body.radial(dirs) ** n / volume(body)
+    wn = unit_ball_volume(n)
+
+    def a_of(q: np.ndarray) -> float:
+        quad = np.einsum("ij,ij->i", dirs @ q, dirs)
+        rho_e = quad ** (-0.5 * n) * (math.sqrt(np.linalg.det(q)) / wn)
+        return float(weights @ np.abs(rho_k - rho_e)) / n
+
+    return a_of
 
 
 def best_fit_ellipsoid(
@@ -152,53 +193,28 @@ def best_fit_ellipsoid(
     The shape matrix is parametrized as ``expm(S)`` with S symmetric
     (n(n+1)/2 coordinates), the search starts from the moment ellipsoid
     (shape proportional to the inverse second-moment matrix) and runs
-    Nelder-Mead on a common-random-number MC objective: one fixed point cloud
-    per run, K-membership cached, so each candidate only needs an ellipsoid
-    membership pass and the objective is piecewise-smooth in the parameters.
-
-    The cloud is cached as the quadratic monomials of its points in K, one
-    block per sampling chunk, so an ellipsoid membership pass is one
-    matrix-vector product per block.  The points themselves are not kept:
-    the cache holds n(n+1)/2 floats per accepted point (3 in 2D, 10 in 4D),
-    about ``samples * |K| / |box| * n(n+1)/2 * 8`` bytes in all -- 190 MB for
-    a near-ball in 2D at 10^7 samples.  The product rounds differently from
-    the quadratic form ``x^T q x``, so only a point within a few ulps of the
-    boundary could be counted differently.
+    Nelder-Mead on ``_radial_distance``: the radial volume formula on a fixed
+    product rule over the sphere, deterministic and continuous in the shape.
+    The search's memory and cost do not depend on ``samples``.
 
     Returns ``(ellipsoid, distance, converged, evals)``: the fitted
-    ellipsoid (scaled to ``|E| = |K|``), a fresh-seed re-evaluation of
-    A(K, E) at the optimum -- the re-evaluation avoids the low bias an
-    optimizer extracts from its own sample noise -- and the outcome of the
-    simplex search: whether it converged within ``MAX_FIT_ITER`` iterations
-    and how many objective evaluations it made.  A search that hits the cap
-    still returns its best iterate.
+    ellipsoid (scaled to ``|E| = |K|``), the MC ``homothetic_distance``
+    A(K, E) at the optimum on ``samples`` fresh draws (the one box stream of a
+    call, seeded ``seed + 7919``), and the outcome of the simplex search:
+    whether it converged within ``MAX_FIT_ITER`` iterations and how many
+    objective evaluations it made.  A search that hits the cap still returns
+    its best iterate.
     """
     n = body.dim
     vol_k = volume(body)
-    alpha = vol_k ** (-1.0 / n)
-    hi = alpha * body.bounding_box()[1]
-    lo = -hi
-    box_vol = float(np.prod(hi - lo))
-    mono = [
-        _quadratic_monomials(cloud[body.contains(cloud / alpha)])
-        for cloud in box_chunks(lo, hi, samples, seed)
-    ]
-    weight = box_vol / samples
     wn = unit_ball_volume(n)
-
-    def a_of(theta: np.ndarray) -> float:
-        q = _sym_expm(_sym_from_vec(theta, n))
-        # b = |E_q|^(-1/n); membership in bE_q is x^T q x <= b^2
-        beta2 = (wn / math.sqrt(np.linalg.det(q))) ** (-2.0 / n)
-        inter = weight * _count_inside(mono, q, beta2)
-        return 2.0 * (1.0 - inter)
-
+    a_of = _radial_distance(body)
     q0 = np.linalg.inv(second_moment_matrix(body).matrix)
     q0 = q0 / np.linalg.det(q0) ** (1.0 / n)
     theta0 = _vec_from_sym(_sym_logm(q0))
     sim = np.vstack([theta0, theta0 + 0.05 * np.eye(theta0.size)])
     res = minimize(
-        a_of,
+        lambda theta: a_of(_sym_expm(_sym_from_vec(theta, n))),
         theta0,
         method="Nelder-Mead",
         options={

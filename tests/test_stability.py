@@ -11,16 +11,18 @@ from convexlab.geometry import (
     apply_map,
     cross_polytope,
     cube,
+    polar,
     random_ellipsoid,
+    random_symmetric_polytope,
     unit_ball_volume,
 )
-from convexlab.moments import second_moment_matrix, volume
+from convexlab import stability
+from convexlab.harness import ball_deficit, santalo_deficit
+from convexlab.moments import box_chunks, second_moment_matrix, volume
 from convexlab.stability import (
     StabilityRecord,
-    _count_inside,
-    _quadratic_monomials,
-    _sym_expm,
-    _sym_from_vec,
+    _radial_distance,
+    _sphere_rule,
     best_fit_ellipsoid,
     fit_loglog_slope,
     homothetic_distance,
@@ -115,29 +117,60 @@ def test_fit_rejects_nonpositive_samples(square):
         best_fit_ellipsoid(square, samples=0)
 
 
-def _einsum_count(pts, q, level):
-    return int(np.count_nonzero(np.einsum("ij,jk,ik->i", pts, q, pts) <= level))
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_monomial_count_matches_einsum(n):
-    """The cached-monomial objective counts the same points as the quadratic
-    form x^T q x, on the fit's own kind of cloud and for 120 shape draws at
-    the volume-matched level, where the count is most sensitive."""
-    rng = np.random.default_rng(n)
-    if n == 2:
-        body = kt_family(2, 0.08).to_v()
-        cloud = rng.uniform(-1.2, 1.2, size=(200_000, 2))
-        pts = cloud[body.contains(cloud)]
-    else:
-        pts = rng.uniform(-1.0, 1.0, size=(100_000, 4))
-    cut = len(pts) // 3
-    blocks = [_quadratic_monomials(pts[:cut]), _quadratic_monomials(pts[cut:])]
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sphere_rule_weights_and_nodes(n):
+    """The weights sum to |S^(n-1)| = n omega_n, the nodes are unit vectors,
+    and the rule integrates u_1^2 to omega_n."""
+    dirs, weights = _sphere_rule(n)
     wn = unit_ball_volume(n)
-    for _ in range(120):
-        q = _sym_expm(_sym_from_vec(0.3 * rng.standard_normal(n * (n + 1) // 2), n))
-        level = (wn / math.sqrt(np.linalg.det(q))) ** (-2.0 / n)
-        assert _count_inside(blocks, q, level) == _einsum_count(pts, q, level)
+    assert weights.sum() == pytest.approx(n * wn, rel=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert weights @ dirs[:, 0] ** 2 == pytest.approx(wn, rel=1e-13)
+
+
+def test_radial_distance_square_disk_closed_form(square):
+    assert _radial_distance(square)(np.eye(2)) == pytest.approx(square_disk_distance(), rel=2e-4)
+
+
+@pytest.mark.parametrize("n,pairs", [(3, 10), (4, 16)])
+def test_radial_distance_matches_monte_carlo(n, pairs):
+    """Within 4 sigma of the MC ``homothetic_distance``, sigma the binomial
+    error of its hit count over the same sampling box."""
+    body = random_symmetric_polytope(n, pairs, 1)
+    ell = random_ellipsoid(n, seed=3)
+    samples = 10**6
+    mc = homothetic_distance(body, ell, samples=samples, seed=1)
+    hi = np.maximum(
+        volume(body) ** (-1.0 / n) * body.bounding_box()[1],
+        volume(ell) ** (-1.0 / n) * ell.bounding_box()[1],
+    )
+    box_vol = float(np.prod(2.0 * hi))
+    sigma = math.sqrt(mc * (box_vol - mc) / samples)
+    assert _radial_distance(body)(ell.shape) == pytest.approx(mc, abs=4.0 * sigma)
+
+
+def test_fit_memory_does_not_grow_with_samples(monkeypatch):
+    """The fit's objective reads no point cloud: the one box stream of a call
+    is the final MC distance, whose chunks bound the peak at any sample count."""
+    body = kt_family(2, 0.08)
+    best_fit_ellipsoid(body, samples=1000, seed=0)  # the body's own caches
+    streams = []
+
+    def counted(lo, hi, samples, seed):
+        streams.append(samples)
+        return box_chunks(lo, hi, samples, seed)
+
+    monkeypatch.setattr(stability, "box_chunks", counted)
+    peaks = []
+    for samples in (10**5, 10**7):
+        tracemalloc.start()
+        try:
+            best_fit_ellipsoid(body, samples=samples, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert streams == [10**5, 10**7]
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +239,11 @@ def test_kt_membership_matches_its_vertex_form(disk, qhull_vertex_form):
     distances of the K_t equal those of a vertex form enumerated apart from
     its own (``to_v``) bit for bit.
 
-    The fit also starts from the body's exact moment and volume.  The H
-    body's come from its polar's hull and the vertex form's from its star;
-    they agree to a tolerance, not bit for bit, so a fresh vertex form is
-    given the H body's, and membership is left the one difference."""
+    The fit also starts from the body's exact moment and volume and reads its
+    radial function off its polar.  The H body's come from its polar's hull
+    and the halfspaces, the vertex form's from its star and the polar's vertex
+    enumeration; they agree to a tolerance, not bit for bit, so a fresh vertex
+    form is given the H body's, and membership is left the one difference."""
     body = kt_family(2, 0.05)
     vbody = qhull_vertex_form(body)
     assert homothetic_distance(body, disk, 100_000, seed=4) == homothetic_distance(
@@ -220,6 +254,7 @@ def test_kt_membership_matches_its_vertex_form(disk, qhull_vertex_form):
     assert volume(vbody) == pytest.approx(volume(body), rel=1e-13, abs=0)
     object.__setattr__(vbody, "_moment", mm)
     object.__setattr__(vbody, "_volume", volume(body))
+    object.__setattr__(vbody, "_polar", polar(body))
     ell, a_dist, converged, evals = best_fit_ellipsoid(body, samples=100_000, seed=5)
     v_ell, v_a_dist, v_converged, v_evals = best_fit_ellipsoid(vbody, samples=100_000, seed=5)
     np.testing.assert_array_equal(ell.shape, v_ell.shape)
@@ -276,6 +311,34 @@ def test_kt_sweep_quadratic_scaling():
     assert 0.8 <= slope_a <= 1.2
     ratios = [r.ratio for r in records]
     assert max(ratios) / min(ratios) < 10.0
+
+
+SLOPE_T = [0.04, 0.08, 0.12]
+
+
+def _exact_deficits(n: int, t: float) -> tuple[float, float]:
+    body = kt_family(n, t)
+    return (
+        santalo_deficit(body, method="exact").deficit,
+        ball_deficit(body, method="exact").deficit,
+    )
+
+
+def test_kt_ball_deficit_slope_2d():
+    """Ball's trace-product deficit of K_t scales like t^2, with no sampling."""
+    deficits = [_exact_deficits(2, t)[1] for t in SLOPE_T]
+    assert 1.9 <= fit_loglog_slope(SLOPE_T, deficits) <= 2.1
+
+
+def test_kt_excess_deficit_slopes_3d():
+    """The 3D K_0 is a polytope on 4098 random directions, whose Santalo and
+    ball deficits (0.025 and 0.005) swamp the raw t^2 slopes (about 1.06 and
+    0.93).  The excess over K_0 scales like t^2 in both."""
+    floor = _exact_deficits(3, 0.0)
+    deficits = [_exact_deficits(3, t) for t in SLOPE_T]
+    for k in (0, 1):
+        excess = [d[k] - floor[k] for d in deficits]
+        assert 1.7 <= fit_loglog_slope(SLOPE_T, excess) <= 2.3
 
 
 def test_kt_sweep_rejects_out_of_range():
