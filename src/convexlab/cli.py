@@ -103,6 +103,17 @@ def _parse_t_values(text: str) -> list[float]:
     return [float(text)]
 
 
+def _sample_count(text: str) -> int:
+    """``--samples``: a nonnegative integer (0 on routes that draw nothing)."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _run_config(args: argparse.Namespace) -> dict:
     options = {}
     for key, value in sorted(vars(args).items()):
@@ -315,7 +326,7 @@ def build_parser() -> _Parser:
         # None until main resolves it from CONVEXLAB_SEED, so a bad value
         # there is reported like any other usage error
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=samples_default)
+        p.add_argument("--samples", type=_sample_count, default=samples_default)
         p.add_argument("--out", type=str, default=None)
 
     p_gen = sub.add_parser("gen", help="generate a body file")

@@ -802,9 +802,17 @@ def cross_polytope(n: int, radius: float = 1.0) -> SymmetricVPolytope:
 
 
 def random_directions(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points on the unit sphere."""
+    """Uniform points on the unit sphere.
+
+    The squared norms are summed one column at a time: ``np.linalg.norm``
+    along rows runs numpy's inner loop once per row, and below 8 columns
+    (every supported dimension) it sums in this same order, to the same bits.
+    """
     g = rng.standard_normal((count, n))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    sq = g[:, 0] * g[:, 0]
+    for j in range(1, n):
+        sq += g[:, j] * g[:, j]
+    return g / np.sqrt(sq)[:, None]
 
 
 def symmetric_direction_grid(n: int, count: int, seed: int = 0) -> np.ndarray:

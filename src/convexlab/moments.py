@@ -291,8 +291,10 @@ def box_chunks(lo: np.ndarray | float, hi: np.ndarray, samples: int, seed: int):
     in yield order is deterministic for a given seed and chunk.  ``lo`` may be
     a scalar shared by every coordinate.  Each chunk is one ``random`` draw
     scaled in place to ``lo + (hi - lo) * U``, numpy's own ``uniform`` formula
-    (the same bits), without its slow broadcast path.  A box with a non-finite
-    bound or span raises ValueError.
+    (the same bits), one column at a time: an in-place broadcast of the span
+    row over 2-4 columns runs numpy's inner loop once per row, and took longer
+    than the draw itself.  A box with a non-finite bound or span raises
+    ValueError.
     """
     if samples <= 0:
         raise ValueError(f"Monte Carlo needs a positive sample count, got {samples}")
@@ -300,13 +302,16 @@ def box_chunks(lo: np.ndarray | float, hi: np.ndarray, samples: int, seed: int):
         span = np.subtract(hi, lo, dtype=float)
     if not np.all(np.isfinite(span)):
         raise ValueError(f"the Monte Carlo box from {lo} to {hi} is not finite")
+    offset = np.broadcast_to(np.asarray(lo, dtype=float), span.shape)
     rng = np.random.default_rng(seed)
     remaining = int(samples)
     while remaining > 0:
         k = min(MC_CHUNK, remaining)
         pts = rng.random((k, len(hi)))
-        pts *= span
-        pts += lo
+        for j in range(pts.shape[1]):
+            col = pts[:, j]
+            col *= span[j]
+            col += offset[j]
         yield pts
         remaining -= k
 
@@ -320,7 +325,7 @@ def rejection_sample(contains, lo, hi, count: int, seed: int) -> np.ndarray:
     kept = []
     have = 0
     for pts in box_chunks(lo, hi, MAX_REJECT_ROUNDS * MC_CHUNK, seed):
-        acc = pts[contains(pts)]
+        acc = pts.compress(contains(pts), axis=0)
         kept.append(acc)
         have += len(acc)
         if have >= count:
@@ -334,13 +339,15 @@ def box_moments(contains, lo, hi, samples: int, seed: int, proj=None, region=Non
     ``proj`` is an (n, k) matrix (None for the identity).  ``region`` is asked
     only about the rows ``contains`` accepted.  Returns the box-scaled
     estimate, its per-entry standard error and the number of accepted draws.
+    Rows are selected with ``compress``, which gathers the rows of a boolean
+    index several times faster on 2-4 columns.
     """
     s1 = s2 = 0.0
     accepted = 0
     for pts in box_chunks(lo, hi, samples, seed):
-        acc = pts[contains(pts)]
+        acc = pts.compress(contains(pts), axis=0)
         if region is not None:
-            acc = acc[region(acc)]
+            acc = acc.compress(region(acc), axis=0)
         f = acc if proj is None else acc @ proj
         sq = f * f
         s1 += f.T @ f

@@ -312,6 +312,11 @@ def kt_sweep(
         san = santalo_deficit(body, method="exact")
         bal = ball_deficit(body, method="exact")
         _, a_dist, converged, evals = best_fit_ellipsoid(body, samples=samples, seed=seed + k)
+        if a_dist == 0:
+            raise ValueError(
+                f"the Monte Carlo A_dist of K_t at t={t:g} is 0 with {samples} samples, "
+                "so deficit / A_dist^2 is undefined; use more samples"
+            )
         records.append(
             StabilityRecord(
                 t=t,

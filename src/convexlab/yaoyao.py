@@ -239,8 +239,18 @@ class _Node:
 
 
 def _project(pts: np.ndarray, split: float, mult: np.ndarray, k: int) -> np.ndarray:
-    """Project onto {x_0 = split} along (1, mult); keep local coords 1..k."""
-    return pts[:, 1 : k + 1] - (pts[:, :1] - split) * mult[:k]
+    """Project onto {x_0 = split} along (1, mult); keep local coords 1..k.
+
+    ``x_j - (x_0 - split) * mult_j``, one column at a time: the broadcast of
+    ``mult`` as a row runs numpy's inner loop once per row.
+    """
+    height = pts[:, 0] - split
+    out = np.empty((len(pts), k))
+    for j in range(k):
+        col = out[:, j]
+        np.multiply(height, mult[j], out=col)
+        np.subtract(pts[:, j + 1], col, out=col)
+    return out
 
 
 def _rms(values: np.ndarray, weights: np.ndarray) -> float:
@@ -269,8 +279,9 @@ def _build_tree(pts: np.ndarray, w: np.ndarray, tol_rel: float, even: bool = Fal
     up = pts[:, 0] > s if even else pts[:, 0] >= s
     if not up.any() or up.all():
         raise RuntimeError("degenerate measure: a split left one side empty")
-    pu, wu = pts[up], w[up]
-    pl, wl = (None, None) if even else (pts[~up], w[~up])
+    # compress gathers the rows of a boolean index several times faster
+    pu, wu = pts.compress(up, axis=0), w.compress(up)
+    pl, wl = (None, None) if even else (pts.compress(~up, axis=0), w.compress(~up))
     mult = np.zeros(m - 1)
     if even:
         mult[0] = _weighted_median(pu[:, 1] / pu[:, 0], wu)
@@ -380,7 +391,7 @@ def assign_cones(cones, points: np.ndarray) -> np.ndarray:
 
     Membership is decided by the cone coordinates; every point is assigned
     to the cone whose smallest generator coordinate is largest, so boundary
-    points are counted exactly once.
+    points are counted exactly once, and an exact tie goes to the first cone.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     best = np.full(len(pts), -np.inf)
@@ -388,8 +399,8 @@ def assign_cones(cones, points: np.ndarray) -> np.ndarray:
     for i, cone in enumerate(cones):
         depth = cone.coordinates(pts).min(axis=1)
         better = depth > best
-        best[better] = depth[better]
-        idx[better] = i
+        np.copyto(best, depth, where=better)
+        np.copyto(idx, i, where=better)
     return idx
 
 

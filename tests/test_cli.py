@@ -304,6 +304,37 @@ def test_stability_bad_range():
     assert run("stability", "kt-sweep", "--dim", "2", "--t", "0.01:0.05") == 1
 
 
+@pytest.mark.parametrize("samples", ["1", "2", "5"])
+def test_stability_refuses_a_zero_a_dist(samples, capsys):
+    """So few draws that none falls in the symmetric difference: A_dist is 0
+    and the ratio deficit / A_dist^2 undefined."""
+    assert run("stability", "kt-sweep", "--dim", "2", "--t", "0.1", "--samples", samples) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the Monte Carlo A_dist") and f"with {samples} samples" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "BODY", "--which", "directional"],
+    ["verify", "BODY", "--which", "santalo"],
+    ["yaoyao", "BODY"],
+    ["compute", "BODY"],
+    ["gen", "cube", "--dim", "2", "--out", "OUT"],
+    ["stability", "kt-sweep", "--dim", "2", "--t", "0.05"],
+])
+def test_negative_samples_are_a_usage_error(tmp_path, capsys, command):
+    body, out = tmp_path / "e.json", tmp_path / "out.json"
+    assert run("gen", "ellipsoid", "--dim", "2", "--out", str(body)) == 0
+    argv = [str(body) if a == "BODY" else str(out) if a == "OUT" else a for a in command]
+    assert run(*argv, "--samples", "-5") == 1
+    assert "argument --samples: must be nonnegative, got -5" in capsys.readouterr().err
+    assert not out.exists()
+    # gen and compute keep their default of 0, and an explicit 0 parses
+    if command[0] in ("gen", "compute"):
+        assert run(*argv) == 0
+        assert run(*argv, "--samples", "0") == 0
+
+
 def test_out_of_memory_exit_code(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError

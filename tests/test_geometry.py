@@ -457,6 +457,14 @@ def test_cone_contains_generators_and_combinations():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_directions_bytes_match_the_row_norm(n):
+    """The column-by-column norm is ``np.linalg.norm`` along rows bit for bit."""
+    g = np.random.default_rng(n).standard_normal((100_003, n))
+    ref = g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert random_directions(n, 100_003, np.random.default_rng(n)).tobytes() == ref.tobytes()
+
+
 def test_direction_grid_exact_antipodes():
     for n in (2, 3):
         g = symmetric_direction_grid(n, 32, seed=11)

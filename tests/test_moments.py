@@ -10,6 +10,7 @@ Oracles used below (all elementary integrals):
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,100 @@ def test_mc_second_moment_bytes_match_reference_kernels(name, monkeypatch):
     assert fast.matrix.tobytes() == ref.matrix.tobytes()
     assert fast.stderr.tobytes() == ref.stderr.tobytes()
     assert fast.volume.hex() == ref.volume.hex()
+
+
+def _boolean_index_rejection_sample(contains, lo, hi, count, seed):
+    """Reference fixed-count sampler: reference draws, boolean row indexing."""
+    kept, have = [], 0
+    for pts in _uniform_box_chunks(lo, hi, moments.MAX_REJECT_ROUNDS * moments.MC_CHUNK, seed):
+        acc = pts[contains(pts)]
+        kept.append(acc)
+        have += len(acc)
+        if have >= count:
+            return np.concatenate(kept)[:count]
+
+
+def _boolean_index_box_moments(contains, lo, hi, samples, seed, proj=None, region=None):
+    """Reference ``box_moments``: reference draws, boolean row indexing."""
+    s1 = s2 = 0.0
+    accepted = 0
+    for pts in _uniform_box_chunks(lo, hi, samples, seed):
+        acc = pts[contains(pts)]
+        if region is not None:
+            acc = acc[region(acc)]
+        f = acc if proj is None else acc @ proj
+        sq = f * f
+        s1 += f.T @ f
+        s2 += sq.T @ sq
+        accepted += len(acc)
+    box_vol = float(np.prod(hi - lo))
+    mean = s1 / samples
+    var = np.maximum(s2 / samples - mean**2, 0.0)
+    return box_vol * mean, box_vol * np.sqrt(var / samples), accepted
+
+
+def _wide_orthant(n):
+    """The cone over the columns e_j - 0.15 (1, ..., 1): a widened positive orthant."""
+    return SimplicialCone(np.eye(n) - 0.15)
+
+
+# one body per dimension, each sampled in its bounding box and in the box of
+# its positive orthant, whose lower corner is the scalar 0.0
+REGION_BODIES = {
+    "polygon-80": _polygon80,
+    "random-3d": lambda: random_symmetric_polytope(3, 10, seed=4),
+    "ellipsoid-4d": lambda: random_ellipsoid(4, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGION_BODIES))
+def test_box_moments_bytes_match_boolean_index_reference(name):
+    body = REGION_BODIES[name]()
+    n = body.dim
+    lo, hi = body.bounding_box()
+    u = np.linspace(1.0, 2.0, n)
+    u /= np.linalg.norm(u)
+    cone = _wide_orthant(n)
+    cases = [
+        (lo, hi, None, None),
+        (lo, hi, u[:, None], cone.contains),
+        (lo, hi, None, cone.contains),
+        (0.0, hi, np.eye(n)[:, :1], None),
+    ]
+    for lo_, hi_, proj, region in cases:
+        fast = box_moments(body.contains, lo_, hi_, 150_000, 9, proj, region)
+        ref = _boolean_index_box_moments(body.contains, lo_, hi_, 150_000, 9, proj, region)
+        assert fast[0].tobytes() == ref[0].tobytes()
+        assert fast[1].tobytes() == ref[1].tobytes()
+        assert fast[2] == ref[2]
+
+
+@pytest.mark.parametrize("name", sorted(REGION_BODIES))
+def test_rejection_sample_bytes_match_boolean_index_reference(name):
+    body = REGION_BODIES[name]()
+    lo, hi = body.bounding_box()
+    # one row, more than one chunk ending inside a chunk, and the orthant box
+    for lo_, count in ((lo, 1), (lo, 100_003), (0.0, 50_000)):
+        fast = rejection_sample(body.contains, lo_, hi, count, 5)
+        ref = _boolean_index_rejection_sample(body.contains, lo_, hi, count, 5)
+        assert fast.tobytes() == ref.tobytes()
+
+
+def test_box_chunks_hold_no_buffer_beyond_the_chunks():
+    """Draining 10^6 4D points peaks at two chunks under tracemalloc: the one
+    the consumer holds and the one being drawn.  A tiled span and offset
+    pair would add two more, a broadcast temporary one more."""
+    lo, hi = BOXES[3]
+    chunk_bytes = 8 * moments.MC_CHUNK * len(hi)
+    tracemalloc.start()
+    try:
+        for pts in box_chunks(lo, hi, 10**6, 0):
+            pass
+        del pts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chunk_bytes <= peak < 2 * chunk_bytes + chunk_bytes // 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

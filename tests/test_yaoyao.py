@@ -185,6 +185,100 @@ def test_equipartition_matches_the_stable_sort(monkeypatch):
             assert a.generators.tobytes() == b.generators.tobytes()
 
 
+def _broadcast_project(pts, split, mult, k):
+    """Reference projection: ``mult`` broadcast as a row."""
+    return pts[:, 1 : k + 1] - (pts[:, :1] - split) * mult[:k]
+
+
+def _boolean_gather_build_tree(pts, w, tol_rel, even=False):
+    """Reference partition tree: boolean row gathers and the broadcast
+    projection, otherwise ``yaoyao._build_tree`` line for line."""
+    m = pts.shape[1]
+    s = 0.0 if even else yaoyao._weighted_median(pts[:, 0], w)
+    if m == 1:
+        return yaoyao._Node(s, None, None, None, s)
+    up = pts[:, 0] > s if even else pts[:, 0] >= s
+    pu, wu = pts[up], w[up]
+    pl, wl = (None, None) if even else (pts[~up], w[~up])
+    mult = np.zeros(m - 1)
+    if even:
+        mult[0] = yaoyao._weighted_median(pu[:, 1] / pu[:, 0], wu)
+    for k in range(2 if even else 1, m):
+        scale = max(yaoyao._rms(pts[:, k], w), 1e-300)
+        h_up = max(yaoyao._rms(pu[:, 0] - s, wu), 1e-300)
+
+        def phi(t, _k=k):
+            mult[_k - 1] = t
+            gap = _boolean_gather_build_tree(_broadcast_project(pu, s, mult, _k), wu, tol_rel).apex
+            if not even:
+                gap -= _boolean_gather_build_tree(_broadcast_project(pl, s, mult, _k), wl, tol_rel).apex
+            return gap
+
+        mult[k - 1] = yaoyao._solve_decreasing(phi, mult[k - 1], scale / h_up, tol_rel * scale)
+    upper = _boolean_gather_build_tree(_broadcast_project(pu, s, mult, m - 1), wu, tol_rel)
+    if even:
+        lower = yaoyao._reflect(upper)
+    else:
+        lower = _boolean_gather_build_tree(_broadcast_project(pl, s, mult, m - 1), wl, tol_rel)
+    return yaoyao._Node(s, mult, upper, lower, 0.5 * (upper.apex + lower.apex))
+
+
+def _setitem_assign_cones(cones, points):
+    """Reference cone assignment: the running best updated by boolean setitem."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(len(pts), -np.inf)
+    idx = np.zeros(len(pts), dtype=np.intp)
+    for i, cone in enumerate(cones):
+        depth = cone.coordinates(pts).min(axis=1)
+        better = depth > best
+        best[better] = depth[better]
+        idx[better] = i
+    return idx
+
+
+@pytest.mark.parametrize("n, verts", [(3, 10), (4, 16)])
+def test_equipartition_matches_the_boolean_gather_references(n, verts, monkeypatch):
+    """The partition is bit for bit that of boolean row gathers, the broadcast
+    projection and setitem cone assignment."""
+    body = random_symmetric_polytope(n, verts, seed=1)
+    cloud = sample_measure(body, np.eye(n)[0], 20_000, seed=2)
+    fast = yao_yao_equipartition(cloud)
+    monkeypatch.setattr(yaoyao, "_build_tree", _boolean_gather_build_tree)
+    monkeypatch.setattr(yaoyao, "assign_cones", _setitem_assign_cones)
+    ref = yao_yao_equipartition(cloud)
+    assert fast.axis.tobytes() == ref.axis.tobytes()
+    assert fast.masses.tobytes() == ref.masses.tobytes()
+    for a, b in zip(fast.cones, ref.cones):
+        assert a.generators.tobytes() == b.generators.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_assign_cones_ties_go_to_the_first_cone(n):
+    """Points on the faces shared by coordinate orthants have exactly equal
+    depths (0 and -0) in every cone holding them, and go to the first."""
+    cones = tuple(SimplicialCone(np.diag(s)) for s in itertools.product((1.0, -1.0), repeat=n))
+    # every point of {-1, 0, 1}^n: all but the 2^n orthant diagonals lie on shared faces
+    pts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n)))
+    depths = np.stack([c.coordinates(pts).min(axis=1) for c in cones])
+    on_faces = np.count_nonzero(depths == depths.max(axis=0), axis=0) > 1
+    assert np.count_nonzero(on_faces) == 3**n - 2**n
+    got = assign_cones(cones, pts)
+    np.testing.assert_array_equal(got, np.argmax(depths, axis=0))
+    np.testing.assert_array_equal(got, _setitem_assign_cones(cones, pts))
+
+
+def test_assign_cones_matches_setitem_on_partition_boundaries():
+    """On a 3D partition's generator rays and shared faces, where depths tie
+    within roundoff, the choice is bit for bit that of the setitem update."""
+    body = random_symmetric_polytope(3, 10, seed=1)
+    part = yao_yao_equipartition(sample_measure(body, np.eye(3)[0], 20_000, seed=2))
+    gens = np.hstack([c.generators for c in part.cones]).T
+    pairs = np.array([g[:, a] + g[:, b] for g in (c.generators for c in part.cones)
+                      for a, b in itertools.combinations(range(3), 2)])
+    pts = np.vstack([gens, pairs, np.zeros((1, 3))])
+    np.testing.assert_array_equal(assign_cones(part.cones, pts), _setitem_assign_cones(part.cones, pts))
+
+
 def test_equipartition_custom_direction(square):
     u = np.array([1.0, 1.0]) / math.sqrt(2.0)
     cloud = sample_measure(square, u, 100_000, seed=4)
