@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 from scipy.spatial import QhullError
 
 # Absolute vertex dedup tolerance, applied after rescaling to circumradius <= 10.
@@ -40,6 +40,13 @@ CONTAIN_TOL = 1e-9
 CONTAIN_BLOCK_ELEMENTS = 1 << 16
 # Maps with |det| below this are rejected as singular.
 DET_TOL = 1e-12
+# _near_pairs sorts rows on their projection onto this fixed direction.  Its
+# coordinates are rationally independent, so rows that tie on coordinates
+# (cube, cross-polytope and orthant-clip vertices, or rows sharing a leading
+# coordinate) still project apart and a query's window holds only near rows.
+NEAR_DIRECTION = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0])
+# _near_pairs tests about this many candidate pairs a block.
+NEAR_BLOCK = 1 << 16
 
 MIN_DIM = 2
 MAX_DIM = 4
@@ -120,7 +127,7 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
     Exact repeats sit next to each other after the sort and only the first of
     each run can survive, so they are collapsed up front.  The near pairs come
-    from one k-d tree query, and the greedy pass runs only over the rows that
+    from ``_near_pairs``, and the greedy pass runs only over the rows that
     have one.
     """
     order = np.lexsort(rows.T[::-1])
@@ -130,10 +137,11 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     fresh = np.ones(rs.shape[0], dtype=bool)
     np.any(rs[1:] != rs[:-1], axis=1, out=fresh[1:])
     rs = rs[fresh]
-    pairs = cKDTree(rs).query_pairs(tol, p=np.inf, output_type="ndarray")
-    if pairs.shape[0] == 0:
+    pairs = [(i[i < j], j[i < j]) for i, j in _near_pairs(rs, rs, tol, np.inf)]
+    a, b = (np.concatenate(x) for x in zip(*pairs)) if pairs else ((), ())
+    if len(a) == 0:
         return rs
-    a, b = pairs[:, 0], pairs[:, 1]  # a < b: a precedes b in lexicographic order
+    # a < b: a precedes b in lexicographic order
     in_window = rs[a, 0] >= rs[b, 0] - tol
     a, b = a[in_window], b[in_window]
     # The greedy scan in row order, in sweeps over the near pairs: each sweep
@@ -189,15 +197,77 @@ def _max_products(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _near_pairs(queries: np.ndarray, rows: np.ndarray, radius: float, norm: float):
+    """Yield blocks ``(i, j)`` of the index pairs with ``||queries[i] -
+    rows[j]|| <= radius``, in the infinity norm (``norm=np.inf``) or the
+    Euclidean norm (``norm=2``).
+
+    The rows are sorted on their projection onto ``NEAR_DIRECTION`` d.  Two
+    rows within the radius project within ``radius * ||d||_1`` (infinity
+    norm) or ``radius * ||d||_2`` (Euclidean) of each other; that width,
+    widened by the roundoff of the projections, gives each query its window
+    of sorted rows by ``searchsorted``, and the exact distance is tested on
+    the window only.  Windows are expanded about ``NEAR_BLOCK`` candidate
+    pairs at a time (a query's window is never split), so memory stays
+    bounded however many rows project close together.
+    """
+    if queries.shape[0] == 0 or rows.shape[0] == 0:
+        return
+    d = NEAR_DIRECTION[: rows.shape[1]]
+
+    def near(qcols, cols):
+        acc = 0.0
+        for qcol, col in zip(qcols, cols):
+            diff = col - qcol
+            acc = np.maximum(acc, np.abs(diff)) if norm == np.inf else acc + diff * diff
+        return (acc if norm == np.inf else np.sqrt(acc)) <= radius
+
+    def by_projection(x):
+        proj = x @ d
+        order = np.argsort(proj)
+        return order, proj[order], [np.ascontiguousarray(c) for c in x[order].T]
+
+    # sorted queries make searchsorted's binary searches cheap (0.09 against
+    # 0.44 ms on 4100 rows)
+    order, proj, cols = by_projection(rows)
+    qorder, qproj, qcols = (order, proj, cols) if queries is rows else by_projection(queries)
+    # d is positive: ||d||_1 is its sum
+    width = radius * float(d.sum() if norm == np.inf else np.linalg.norm(d))
+    reach = float(d.sum()) * max(float(np.max(np.abs(rows))), float(np.max(np.abs(queries))))
+    width += 64 * np.finfo(float).eps * (reach + width)
+    lo = np.searchsorted(proj, qproj - width, "left")
+    count = np.searchsorted(proj, qproj + width, "right") - lo
+    ends = np.cumsum(count)
+    start = 0
+    while start < qproj.shape[0]:
+        base = ends[start] - count[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + NEAR_BLOCK, "right")))
+        c = count[start:stop]
+        total = int(ends[stop - 1] - base)
+        if total:
+            i = np.repeat(np.arange(start, stop), c)
+            j = np.arange(total) + np.repeat(lo[start:stop] - (ends[start:stop] - c - base), c)
+            hit = near([qcol[i] for qcol in qcols], [col[j] for col in cols])
+            yield qorder[i[hit]], order[j[hit]]
+        start = stop
+
+
+def _has_near_rows(queries: np.ndarray, rows: np.ndarray, radius: float) -> bool:
+    """Whether every query has a row within Euclidean distance radius."""
+    hit = np.zeros(queries.shape[0], dtype=bool)
+    for i, _ in _near_pairs(queries, rows, radius, 2):
+        hit[i] = True
+    return bool(hit.all())
+
+
 def _check_symmetric_rows(rows: np.ndarray, tol: float) -> None:
     """Require the row set to equal its negation within tol.
 
-    Matches by nearest row rather than by sort order: coordinates that are
+    Matches by nearby row rather than by sort order: coordinates that are
     roundoff noise around zero flip sign under negation, which reorders a
     lexicographic sort and would pair unrelated rows.
     """
-    dist, _ = cKDTree(rows).query(-rows, k=1)
-    if np.max(dist) > tol * math.sqrt(rows.shape[1]):
+    if not _has_near_rows(-rows, rows, tol * math.sqrt(rows.shape[1])):
         raise ValueError("vertex set is not symmetric about the origin")
 
 
@@ -420,6 +490,8 @@ class SymmetricHPolytope:
         c = np.asarray(self.offsets, dtype=float)
         if u.ndim != 2 or c.ndim != 1 or u.shape[0] != c.shape[0]:
             raise ValueError("normals (m, n) and offsets (m,) shapes do not match")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
+            raise ValueError("normals and offsets must be finite")
         n = _check_dim(u.shape[1])
         norms = np.linalg.norm(u, axis=1)
         if np.any(norms <= 0):
@@ -429,11 +501,10 @@ class SymmetricHPolytope:
         if np.any(c <= 0):
             raise ValueError("non-positive offset: origin not strictly interior")
         # closed under negation with matching offsets: every (u, c) row needs
-        # a (-u, c) partner (nearest-row match, O(m log m))
+        # a (-u, c) partner (near-row match, O(m log m))
         rows = np.column_stack([u, c])
         neg = np.column_stack([-u, c])
-        dist, _ = cKDTree(rows).query(neg, k=1)
-        if np.max(dist) > 1e-9 * math.sqrt(rows.shape[1]):
+        if not _has_near_rows(neg, rows, 1e-9 * math.sqrt(rows.shape[1])):
             raise ValueError("halfspace set is not symmetric (missing -u partner)")
         if np.linalg.matrix_rank(u, tol=1e-10) < n:
             raise ValueError("normals do not span R^n: polytope unbounded")
@@ -472,6 +543,33 @@ class SymmetricHPolytope:
             object.__setattr__(self, "_vertices", _freeze(verts))
             object.__setattr__(self, "_facet", facet)
         return self._vertices, self._facet
+
+    def incident_support(self) -> np.ndarray:
+        """For each halfspace ``<u_i, x> <= c_i``, the largest ``<u_i, v>``
+        over the vertices v of the facets of the polar's hull that meet
+        ``p_i = u_i / c_i``, and ``-inf`` where p_i is not a hull vertex.
+
+        On a hull vertex p_i the largest ``<p_i, v>`` over all vertices is 1,
+        taken on exactly those facets, so this is the support ``c_i`` read
+        off a few vertices.  A p_i that is no hull vertex (a redundant
+        halfspace, or a near repeat the polar's dedup dropped) has none.
+        """
+        pol = polar(self)
+        simplices = _hull(pol)[0]
+        verts, facet = self._dual_facets()
+        # the polar's hull vertices are rows of p, exactly
+        owner = np.full(pol.vertices.shape[0], -1)
+        for i, k in _near_pairs(self.normals / self.offsets[:, None], pol.vertices, 0.0, np.inf):
+            owner[k] = i
+        corner = owner[simplices].reshape(-1)
+        known = corner >= 0
+        rows, facets = corner[known], np.repeat(facet, simplices.shape[1])[known]
+        prod = np.zeros(rows.size)
+        for col, vcol in zip(self.normals.T, verts.T):
+            prod += col[rows] * vcol[facets]
+        out = np.full(self.normals.shape[0], -np.inf)
+        np.maximum.at(out, rows, prod)
+        return out
 
     def to_v(self) -> SymmetricVPolytope:
         if self._vrep is None:

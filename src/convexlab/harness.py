@@ -390,7 +390,7 @@ def _orthant_clip_vertices(body: Body) -> np.ndarray:
 class OrthantRegion:
     """A symmetric body restricted to the closed positive orthant.
 
-    Supports membership, rejection sampling, and the coordinate moment
+    Supports rejection sampling and the coordinate moment
     ``int x_i^2 dx`` -- exactly for polytopes (clip-and-triangulate) and
     axis-aligned ellipsoids (orthant symmetry), by Monte Carlo otherwise.
     """
@@ -401,13 +401,6 @@ class OrthantRegion:
     @property
     def dim(self) -> int:
         return self.body.dim
-
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = self.body.contains(pts, tol) & (pts.min(axis=1) >= -tol)
-        return bool(out[0]) if single else out
 
     def sample(self, count: int, seed: int = 0) -> np.ndarray:
         """Uniform points of the region by rejection from its bounding box."""

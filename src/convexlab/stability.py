@@ -110,18 +110,21 @@ def homothetic_distance(k_body: Body, c_body: Body, samples: int = 10**6, seed: 
     return box_vol * hits / samples
 
 
+# built once per dimension: a fit evaluates _sym_from_vec about 116 times
+_SYM_INDEX = {n: np.triu_indices(n, k=1) for n in SPHERE_RULE}
+
+
 def _sym_from_vec(theta: np.ndarray, n: int) -> np.ndarray:
     s = np.zeros((n, n))
     s[np.diag_indices(n)] = theta[:n]
-    iu = np.triu_indices(n, k=1)
+    iu = _SYM_INDEX[n]
     s[iu] = theta[n:]
     s[(iu[1], iu[0])] = theta[n:]
     return s
 
 
 def _vec_from_sym(s: np.ndarray) -> np.ndarray:
-    n = s.shape[0]
-    return np.concatenate([np.diag(s), s[np.triu_indices(n, k=1)]])
+    return np.concatenate([np.diag(s), s[_SYM_INDEX[s.shape[0]]]])
 
 
 def _sym_expm(s: np.ndarray) -> np.ndarray:
@@ -238,6 +241,48 @@ def _bump_profile(r: np.ndarray, inner: float, outer: float) -> np.ndarray:
     return 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
 
 
+def _kt_halfspaces(
+    n: int, t: float, grid_size: int | None, seed_grid: int, radii: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The prescribed directions of ``kt_family`` and their offsets
+    ``1 + t*phi``, before the volume rescaling."""
+    if n not in DEFAULT_GRID:
+        raise ValueError("kt family implemented for n in {2, 3, 4}")
+    if abs(t) > T_CAP:
+        raise ValueError(f"|t| = {abs(t):.3g} beyond the {T_CAP} cap for the bump family")
+    size = DEFAULT_GRID[n] if grid_size is None else int(grid_size)
+    if size < MIN_GRID[n]:
+        raise ValueError(f"grid size {size} below the n = {n} minimum {MIN_GRID[n]}")
+    inner, outer = float(radii[0]), float(radii[1])
+    if not 0.0 < inner < outer:
+        raise ValueError("bump radii must satisfy 0 < inner < outer")
+    grid = symmetric_direction_grid(n, size, seed_grid)
+    u0 = np.ones(n) / math.sqrt(n)
+    dirs = np.vstack([grid, u0, -u0])
+    phi = _bump_profile(np.linalg.norm(dirs - u0, axis=1), inner, outer) + _bump_profile(
+        np.linalg.norm(dirs + u0, axis=1), inner, outer
+    )
+    return dirs, 1.0 + t * phi
+
+
+def _clipped(pre: SymmetricHPolytope, dirs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Which prescribed halfspaces ``<dirs_i, x> <= h_i`` of ``pre`` miss the
+    body: support ``h_pre(dirs_i) < h_i (1 - 1e-9)``, decided as the full scan
+    ``pre.support(dirs)`` decides it.
+
+    ``pre``'s normals and offsets are ``dirs`` and ``h`` normalized, and its
+    ``incident_support`` reads each support off the few vertices of the facets
+    that meet ``dirs_i / h_i`` in the polar's hull.  The full scan runs only
+    for the rows where that is below the floor or within 1e-12 of it (no hull
+    vertex, or roundoff of the two scans could disagree).
+    """
+    floor = pre.offsets * (1.0 - 1e-9)
+    scan = np.flatnonzero(pre.incident_support() < floor * (1.0 + 1e-12))
+    clipped = np.zeros(h.size, dtype=bool)
+    clipped[scan] = pre.support(dirs[scan]) < h[scan] * (1.0 - 1e-9)
+    return clipped
+
+
 def kt_family(
     n: int,
     t: float,
@@ -263,26 +308,10 @@ def kt_family(
     bumps (e.g. the classical ``radii=(1/8, 1/4)``) hit the error at much
     smaller t, roughly ``(outer - inner)^2 / 5.8``.
     """
-    if n not in DEFAULT_GRID:
-        raise ValueError("kt family implemented for n in {2, 3, 4}")
     t = float(t)
-    if abs(t) > T_CAP:
-        raise ValueError(f"|t| = {abs(t):.3g} beyond the {T_CAP} cap for the bump family")
-    size = DEFAULT_GRID[n] if grid_size is None else int(grid_size)
-    if size < MIN_GRID[n]:
-        raise ValueError(f"grid size {size} below the n = {n} minimum {MIN_GRID[n]}")
-    inner, outer = float(radii[0]), float(radii[1])
-    if not 0.0 < inner < outer:
-        raise ValueError("bump radii must satisfy 0 < inner < outer")
-    grid = symmetric_direction_grid(n, size, seed_grid)
-    u0 = np.ones(n) / math.sqrt(n)
-    dirs = np.vstack([grid, u0, -u0])
-    phi = _bump_profile(np.linalg.norm(dirs - u0, axis=1), inner, outer) + _bump_profile(
-        np.linalg.norm(dirs + u0, axis=1), inner, outer
-    )
-    h = 1.0 + t * phi
+    dirs, h = _kt_halfspaces(n, t, grid_size, seed_grid, radii)
     pre = SymmetricHPolytope(dirs, h)
-    if np.any(pre.support(dirs) < h * (1.0 - 1e-9)):
+    if np.any(_clipped(pre, dirs, h)):
         raise ValueError(
             f"support-function condition fails at t = {t:.4g}: "
             "ramp clipped by neighboring facets (reduce |t| or widen the radii)"

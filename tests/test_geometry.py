@@ -584,6 +584,140 @@ def test_dedup_rows_edge_cases():
 
 
 # ---------------------------------------------------------------------------
+# near-row search: the sorted kernel against scipy's k-d tree
+# ---------------------------------------------------------------------------
+
+
+def _kernel_pairs(queries, rows, radius, norm):
+    out = set()
+    for i, j in geometry._near_pairs(queries, rows, radius, norm):
+        out.update(zip(i.tolist(), j.tolist()))
+    return out
+
+
+def _tree_pairs(queries, rows, radius, norm):
+    hits = cKDTree(rows).query_ball_point(queries, radius, p=norm)
+    return {(i, j) for i, js in enumerate(hits) for j in js}
+
+
+def _near_row_inputs(n, tol, rng):
+    """Random rows, near-duplicate chains within tol (``_dedup_input``), and
+    rows with tied coordinates: the cube, the cross-polytope and an orthant
+    clip, each with copies moved by 0, 0.5 and 1 tol per coordinate."""
+    from convexlab.harness import _orthant_clip_vertices
+
+    tied = [
+        cube(n).vertices,
+        cross_polytope(n).vertices,
+        _orthant_clip_vertices(random_symmetric_polytope(n, 2 * n + 2, seed=n)),
+    ]
+    sets = [rng.uniform(-1.0, 1.0, size=(300, n)), _dedup_input(rng, n, tol)]
+    for v in tied:
+        moves = tol * rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(2 * len(v), n))
+        sets.append(np.vstack([v, np.tile(v, (2, 1)) + moves]))
+    return sets
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.05])
+@pytest.mark.parametrize("block", [geometry.NEAR_BLOCK, 64])  # 64: windows in many small blocks
+def test_near_pairs_match_kdtree(n, tol, block, monkeypatch):
+    monkeypatch.setattr(geometry, "NEAR_BLOCK", block)
+    rng = np.random.default_rng([n, int(-math.log10(tol))])
+    for rows in _near_row_inputs(n, tol, rng):
+        pairs = cKDTree(rows).query_pairs(tol, p=np.inf, output_type="ndarray")
+        got = {(i, j) for i, j in _kernel_pairs(rows, rows, tol, np.inf) if i < j}
+        assert got == set(map(tuple, pairs.tolist()))
+        queries = -rows[rng.permutation(len(rows))] + tol * rng.uniform(-1, 1, rows.shape)
+        for norm in (np.inf, 2):
+            assert _kernel_pairs(queries, rows, tol, norm) == _tree_pairs(queries, rows, tol, norm)
+        np.testing.assert_array_equal(
+            geometry._dedup_rows(rows, tol), _greedy_dedup_reference(rows, tol)
+        )
+
+
+def test_near_pairs_of_an_empty_set():
+    rows = cube(3).vertices
+    empty = np.empty((0, 3))
+    assert _kernel_pairs(empty, rows, 1.0, np.inf) == set()
+    assert _kernel_pairs(rows, empty, 1.0, 2) == set()
+
+
+def test_incident_support_reads_the_offsets_off_the_hull():
+    """A square with a redundant halfspace ``<(1, 1)/sqrt 2, x> <= 1.5``:
+    each facet's offset comes back from the vertices it meets, and the
+    redundant one, whose dual point lies inside the polar, gets -inf."""
+    diag = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    normals = np.vstack([np.eye(2), diag, -np.eye(2), -diag])
+    hp = SymmetricHPolytope(normals, np.array([1.0, 1.0, 1.5] * 2))
+    got = hp.incident_support()
+    np.testing.assert_allclose(got[[0, 1, 3, 4]], 1.0, rtol=1e-15)
+    assert np.all(got[[2, 5]] == -np.inf)
+    for n in (3, 4):
+        hp = ball_approx(n, 60, seed=n)  # every dual point on the sphere: a hull vertex
+        np.testing.assert_allclose(hp.incident_support(), hp.offsets, rtol=1e-13)
+        np.testing.assert_allclose(hp.support(hp.normals), hp.offsets, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetry_checks_refuse_a_moved_row(n):
+    """The V check allows ``tol * sqrt(n)`` between x and the nearest row to
+    -x, the H check ``1e-9 * sqrt(n + 1)`` between (u, c) and (-u, c)."""
+    tol = 1e-8
+    direction = np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))
+    for rows in (cube(n).vertices, cross_polytope(n).vertices):
+        bound = tol * math.sqrt(n)
+        for scale, ok in ((0.5, True), (2.0, False)):
+            moved = rows.copy()
+            moved[1] += scale * bound * direction
+            if ok:
+                geometry._check_symmetric_rows(moved, tol)
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    geometry._check_symmetric_rows(moved, tol)
+    normals = np.vstack([np.eye(n), -np.eye(n)])
+    bound = 1e-9 * math.sqrt(n + 1)
+    for scale, ok in ((0.5, True), (2.0, False)):
+        offsets = np.ones(2 * n)
+        offsets[1] += scale * bound
+        if ok:
+            SymmetricHPolytope(normals, offsets)
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                SymmetricHPolytope(normals, offsets)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hpolytope_refuses_non_finite_input(bad):
+    normals = np.vstack([np.eye(2), -np.eye(2)])
+    offsets = np.array([1.0, bad, 1.0, bad])
+    with pytest.raises(ValueError, match="must be finite"):
+        SymmetricHPolytope(normals, offsets)
+    normals[0, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        SymmetricHPolytope(normals, np.ones(4))
+
+
+def test_near_pairs_memory_on_a_shared_leading_coordinate():
+    """20 000 rows share their first coordinate: a search sorted on a
+    coordinate would test every pair of them (2 * 10^8), the kernel sorts on
+    a generic direction and works in blocks."""
+    rng = np.random.default_rng(11)
+    rows = np.column_stack([np.full(20_000, 0.25), rng.uniform(-1.0, 1.0, size=(20_000, 2))])
+    rows = np.vstack([rows, -rows])
+    tracemalloc.start()
+    try:
+        kept = geometry._dedup_rows(rows, 1e-10)
+        geometry._check_symmetric_rows(kept, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept.shape == rows.shape
+    # measured 7.7 MiB: the rows' copies and one block of candidate pairs
+    assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 
 from convexlab.geometry import (
     LinearMap,
+    SymmetricHPolytope,
     apply_map,
     cross_polytope,
     cube,
@@ -285,6 +286,47 @@ def test_kt_support_check_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _full_scan_clipped(pre, dirs, h):
+    return pre.support(dirs) < h * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "radii", [(stability.BUMP_INNER, stability.BUMP_OUTER), (0.125, 0.25), (0.1, 0.3)]
+)
+def test_kt_support_decision_equals_the_full_scan(n, radii):
+    """The facet-local check flags the same prescribed halfspaces as a scan
+    of every vertex, on bodies that pass and on clipped ones."""
+    for t in (0.01, 0.04, 0.08, 0.12, 0.15):
+        dirs, h = stability._kt_halfspaces(n, t, None, 0, radii)
+        pre = SymmetricHPolytope(dirs, h)
+        np.testing.assert_array_equal(
+            stability._clipped(pre, dirs, h), _full_scan_clipped(pre, dirs, h)
+        )
+
+
+def test_kt_support_decision_equals_the_full_scan_4d():
+    dirs, h = stability._kt_halfspaces(4, 0.05, None, 0, (0.1, 0.3))
+    pre = SymmetricHPolytope(dirs, h)
+    clipped = stability._clipped(pre, dirs, h)
+    np.testing.assert_array_equal(clipped, _full_scan_clipped(pre, dirs, h))
+    assert clipped.any()
+
+
+def test_support_check_refuses_a_redundant_halfspace():
+    """A halfspace that misses the square has a dual point inside the polar,
+    on no hull vertex, and the full scan decides it; one that touches a
+    vertex of the square has its dual point on an edge of the polar."""
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)]])
+    for offset, clipped in ((1.5, True), (math.sqrt(2.0) * (1.0 + 1e-12), False)):
+        dirs = np.vstack([normals, -normals])
+        h = np.array([1.0, 1.0, offset] * 2)
+        pre = SymmetricHPolytope(dirs, h)
+        got = stability._clipped(pre, dirs, h)
+        np.testing.assert_array_equal(got, _full_scan_clipped(pre, dirs, h))
+        np.testing.assert_array_equal(got, [False, False, clipped] * 2)
 
 
 # ---------------------------------------------------------------------------
