@@ -11,6 +11,7 @@ error, 2 inequality violation, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -117,7 +118,7 @@ def _sample_count(text: str) -> int:
 def _run_config(args: argparse.Namespace) -> dict:
     options = {}
     for key, value in sorted(vars(args).items()):
-        if key == "func" or value is None:
+        if value is None:
             continue
         options[key.replace("_", "-")] = value
     return {"version": __version__, "seed": args.seed, "config": options}
@@ -336,12 +337,10 @@ def build_parser() -> _Parser:
                        help="vertex pairs (random-symmetric) or facet count (ball-approx)")
     p_gen.add_argument("--t", type=str, default=None, help="bump size for kind=kt")
     common(p_gen, samples_default=0)
-    p_gen.set_defaults(func=cmd_gen)
 
     p_compute = sub.add_parser("compute", help="exact volumes, moments, and functionals")
     p_compute.add_argument("body")
     common(p_compute, samples_default=0)
-    p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="check inequalities on a body")
     p_verify.add_argument("body")
@@ -350,29 +349,33 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--direction", type=str, default=None,
                           help="comma-separated components, e.g. 1,0 (normalized)")
     common(p_verify, samples_default=200_000)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_yy = sub.add_parser("yaoyao", help="equipartition the <x,u>^2 measure of a body")
     p_yy.add_argument("body")
     p_yy.add_argument("--direction", type=str, default=None)
     p_yy.add_argument("--mass-tol", type=float, default=5e-3)
     common(p_yy, samples_default=200_000)
-    p_yy.set_defaults(func=cmd_yaoyao)
 
     p_st = sub.add_parser("stability", help="stability scaling experiments")
     p_st.add_argument("what", choices=["kt-sweep"])
     p_st.add_argument("--dim", type=int, required=True)
     p_st.add_argument("--t", type=str, required=True, help="a:b:k range or single value")
     common(p_st, samples_default=10**6)
-    p_st.set_defaults(func=cmd_stability)
 
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of the process, built on the first call.  It holds no
+    function: ``main`` looks up ``cmd_<command>`` when it runs, so a command
+    wrapped or replaced after the parser was built is the one that runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits directly for --help/--version (code 0) and our
         # _Parser.error override exits with the usage code; surface both as
@@ -381,7 +384,7 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED

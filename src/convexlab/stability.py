@@ -248,6 +248,8 @@ def _kt_halfspaces(
     ``1 + t*phi``, before the volume rescaling."""
     if n not in DEFAULT_GRID:
         raise ValueError("kt family implemented for n in {2, 3, 4}")
+    if math.isnan(t):
+        raise ValueError("t is NaN: the bump family needs a real t")
     if abs(t) > T_CAP:
         raise ValueError(f"|t| = {abs(t):.3g} beyond the {T_CAP} cap for the bump family")
     size = DEFAULT_GRID[n] if grid_size is None else int(grid_size)
@@ -333,8 +335,8 @@ def kt_sweep(
     ts = [float(t) for t in t_list]
     if not ts:
         raise ValueError("empty t list")
-    if min(ts) <= 0 or max(ts) > SWEEP_T_CAP:
-        raise ValueError(f"sweep t values must lie in (0, {SWEEP_T_CAP}]")
+    if not all(0 < t <= SWEEP_T_CAP for t in ts):  # NaN fails both comparisons
+        raise ValueError(f"sweep t values must lie in (0, {SWEEP_T_CAP}], got {ts}")
     records = []
     for k, t in enumerate(ts):
         body = kt_family(n, t)

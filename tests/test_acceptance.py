@@ -239,13 +239,16 @@ def test_criterion_9_determinism(capsys, tmp_path, monkeypatch):
         assert main(["gen", "random-symmetric", "--dim", "2", "--verts", "8",
                      "--seed", "5", "--out", "body.json"]) == 0
         assert main(["gen", "kt", "--dim", "2", "--t", "0.05", "--out", "kt.json"]) == 0
+        # the one artifact of the flag decomposition (exact H-polytope moments)
+        assert main(["compute", "kt.json", "--out", "kt-compute.json"]) == 0
         assert main(["verify", "body.json", "--which", "all", "--seed", "6",
                      "--samples", "60000", "--out", "reports"]) == 0
         assert main(["yaoyao", "body.json", "--seed", "7", "--samples", "60000",
                      "--out", "part.json"]) == 0
         assert main(["stability", "kt-sweep", "--dim", "2", "--t", "0.04:0.08:2",
                      "--samples", "50000", "--seed", "8", "--out", "sweep.csv"]) == 0
-        names = ["body.json", "kt.json", "reports.jsonl", "reports.csv", "part.json", "sweep.csv"]
+        names = ["body.json", "kt.json", "kt-compute.json", "reports.jsonl", "reports.csv",
+                 "part.json", "sweep.csv"]
         outputs.append({name: (d / name).read_bytes() for name in names})
     mismatches = [name for name in outputs[0] if outputs[0][name] != outputs[1][name]]
     elapsed = time.monotonic() - start

@@ -1,6 +1,7 @@
 """End-to-end command tests through main(argv); one subprocess smoke for the
 installed entry point."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -304,6 +305,21 @@ def test_stability_bad_range():
     assert run("stability", "kt-sweep", "--dim", "2", "--t", "0.01:0.05") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "kt", "--dim", "2", "--t", "nan", "--out", "OUT"], "error: t is NaN"),
+    (["stability", "kt-sweep", "--dim", "2", "--t", "nan"], "error: sweep t values"),
+    (["stability", "kt-sweep", "--dim", "2", "--t", "0.04:nan:3"], "error: sweep t values"),
+])
+def test_nan_t_is_refused(tmp_path, capsys, argv, message):
+    """NaN passes every ``>`` cap; it is refused by name, not as a
+    non-finite halfspace."""
+    out = tmp_path / "kt.json"
+    assert run(*[str(out) if a == "OUT" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["1", "2", "5"])
 def test_stability_refuses_a_zero_a_dist(samples, capsys):
     """So few draws that none falls in the symmetric difference: A_dist is 0
@@ -419,3 +435,49 @@ def test_python_dash_m_help():
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_parser_is_built_once_and_holds_no_function():
+    """One parser per process, and nothing callable in it: a command is
+    looked up by name when ``main`` runs it."""
+    main(["--version"])
+    assert cli._parser() is cli._parser()
+    parsers = list(_parsers(cli._parser()))
+    assert len(parsers) == 6
+    for parser in parsers:
+        assert not [v for v in parser._defaults.values() if callable(v)]
+        assert not [a.default for a in parser._actions if callable(a.default)]
+
+
+def test_main_runs_a_replaced_command(monkeypatch, tmp_path):
+    """A command replaced after the parser was built (as a tracer wraps it)
+    is the one that runs."""
+    main(["--version"])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: seen.append(args.kind) or 0)
+    assert run("gen", "cube", "--dim", "2", "--out", str(tmp_path / "c.json")) == 0
+    assert seen == ["cube"] and not (tmp_path / "c.json").exists()
+
+
+def test_reused_parser_behaves_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CONVEXLAB_SEED", raising=False)
+    out = tmp_path / "cube.json"
+    argv = ["gen", "cube", "--dim", "2", "--out", str(out)]
+    assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("convexlab ")
+    assert run("gen", "cube", "--dim") == 1
+    assert "argument --dim: expected one argument" in capsys.readouterr().err
+    assert run(*argv) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config == {"command": "gen", "dim": 2, "kind": "cube", "out": str(out),
+                      "samples": 0, "seed": 0, "verts": 16}
+    assert main(["--version"]) == 0

@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.spatial import ConvexHull, cKDTree
 
 from convexlab import geometry
@@ -738,6 +739,120 @@ def test_h_polytope_moments_against_long_double_reference(qhull_vertex_form):
     assert flag_err <= star_err
     assert flag_err < 4e-15
     assert abs(float(volume(body) / ref_vol) - 1.0) < 1e-15
+
+
+def _reference_flag_moments(body: SymmetricHPolytope) -> tuple[np.ndarray, float]:
+    """The flag decomposition as first written: every determinant by
+    ``np.linalg.det``, and every order gathers its own centers and adds one
+    (k n x n) product.  ``moments._flag_moments`` sums the same pieces."""
+    pol = polar(body)
+    pts = pol.vertices
+    simplices = geometry._hull(pol)[0]
+    verts, facet = body._dual_facets()
+    n, npts = body.dim, pts.shape[0]
+    incidence = csr_matrix(
+        (np.ones(simplices.size), (simplices.ravel(), np.repeat(facet, n))),
+        shape=(npts, verts.shape[0]),
+    )
+    incidence.data[:] = 1.0
+    dets = np.linalg.det(pts[simplices])
+    keep = geometry._solid(dets, pts)
+    simplices, facet, orient = simplices[keep], facet[keep], np.sign(dets[keep])
+    centers = {}
+    for k in range(1, n):
+        combos = list(itertools.combinations(range(n), k))
+        radix = npts ** np.arange(k, dtype=np.int64)
+        codes, which = np.unique(np.sort(simplices[:, combos], axis=2) @ radix, return_inverse=True)
+        keys = codes[:, None] // radix % npts
+        pick = csr_matrix(
+            (np.ones(keys.size), (np.repeat(np.arange(keys.shape[0]), k), keys.ravel())),
+            shape=(keys.shape[0], npts),
+        )
+        mean = np.empty((keys.shape[0], n))
+        for lo in range(0, keys.shape[0], moments.FLAG_BLOCK):
+            holds = pick[lo : lo + moments.FLAG_BLOCK] @ incidence
+            holds.data = (holds.data == k).astype(float)
+            mean[lo : lo + moments.FLAG_BLOCK] = (holds @ verts) / np.asarray(holds.sum(axis=1))
+        which = which.reshape(simplices.shape[0], len(combos))
+        for j, combo in enumerate(combos):
+            centers[combo] = (mean, which[:, j])
+    tip = verts[facet]
+    m = np.zeros((n, n))
+    total = 0.0
+    for perm in itertools.permutations(range(n)):
+        rows = (centers[tuple(sorted(perm[:j]))] for j in range(1, n))
+        c = np.stack([mean[idx] for mean, idx in rows] + [tip], axis=1)
+        edges = c - tip[:, None, :]
+        edges[:, -1] = tip
+        w = np.linalg.det(edges) * orient * moments._parity(perm)
+        s = c.sum(axis=1)
+        m += (c * w[:, None, None]).reshape(-1, n).T @ c.reshape(-1, n)
+        m += (s * w[:, None]).T @ s
+        total += float(np.sum(w))
+    fact = math.factorial(n)
+    return m / (fact * (n + 1) * (n + 2)), total / fact
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_det_matches_lapack(n):
+    stack = np.random.default_rng(n).normal(size=(1000, n, n))
+    stack[:10] *= 1e-6
+    stack[10:20, -1] = stack[10:20, 0]  # singular
+    got = moments._det(np.moveaxis(stack, 0, -1))
+    want = np.linalg.det(stack)
+    scale = np.prod(np.linalg.norm(stack, axis=2), axis=1)  # Hadamard's bound
+    assert np.max(np.abs(got - want) / scale) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_det_keeps_the_same_solid_simplices(n):
+    """The polar of the H-cross-polytope is the cube, whose merged square
+    facets Qhull splits with flat simplices in 4D; the closed form gives them
+    exactly 0 and drops the same ones LAPACK's determinant drops."""
+    pol = polar(_h_cross(n))
+    pts = pol.vertices
+    simplices = geometry._hull(pol)[0]
+    got = moments._det(np.moveaxis(pts[simplices], 0, -1))
+    keep = geometry._solid(got, pts)
+    assert np.array_equal(keep, geometry._solid(np.linalg.det(pts[simplices]), pts))
+    assert np.count_nonzero(~keep) == (10 if n == 4 else 0)
+    assert np.all(got[~keep] == 0.0)
+
+
+_FLAG_BODIES = {
+    **_RANDOM_H,
+    **{f"h-cross-{n}d": (lambda n=n: _h_cross(n)) for n in (2, 3, 4)},
+    **{f"h-cube-{n}d": (lambda n=n: _h_cube(n)) for n in (2, 3, 4)},
+    "kt-2d-default": lambda: kt_family(2, 0.05),
+    "kt-3d-default": lambda: kt_family(3, 0.08),
+    "kt-4d-default": lambda: kt_family(4, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_BODIES))
+def test_flag_moments_match_the_reference_kernel(name):
+    body = _FLAG_BODIES[name]()
+    m, vol = moments._flag_moments(body)
+    ref_m, ref_vol = _reference_flag_moments(body)
+    assert np.max(np.abs(m - ref_m)) <= 1e-14 * np.max(np.abs(ref_m))
+    assert abs(vol - ref_vol) <= 1e-15 * ref_vol
+
+
+@pytest.mark.parametrize("n,t", [(3, 0.08), (4, 0.05)])
+def test_flag_moments_peak_no_higher_than_the_reference_kernel(n, t):
+    """With the polar's hull and the vertex set cached, the kernel's own
+    tracemalloc peak (5.0 and 55 MiB for the reference on these bodies)."""
+    body = kt_family(n, t)
+    body._dual_facets()
+    peaks = []
+    for kernel in (_reference_flag_moments, moments._flag_moments):
+        tracemalloc.start()
+        try:
+            kernel(body)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 # ---------------------------------------------------------------------------
