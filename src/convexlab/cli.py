@@ -100,6 +100,8 @@ def _parse_t_values(text: str) -> list[float]:
         a, b, k = float(fields[0]), float(fields[1]), int(fields[2])
         if k < 2:
             raise ValueError("--t range needs at least 2 points")
+        if a == b:
+            raise ValueError(f"--t range {text!r} has equal ends: its points repeat one t")
         return [float(v) for v in np.linspace(a, b, k)]
     return [float(text)]
 

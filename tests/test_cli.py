@@ -305,6 +305,13 @@ def test_stability_bad_range():
     assert run("stability", "kt-sweep", "--dim", "2", "--t", "0.01:0.05") == 1
 
 
+def test_stability_refuses_a_range_with_equal_ends(capsys):
+    """``a:a:k`` repeats one t, and a log-log slope over one t is undefined."""
+    assert run("stability", "kt-sweep", "--dim", "2", "--t", "0.04:0.04:2") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --t range") and "slope" not in captured.out
+
+
 @pytest.mark.parametrize("argv,message", [
     (["gen", "kt", "--dim", "2", "--t", "nan", "--out", "OUT"], "error: t is NaN"),
     (["stability", "kt-sweep", "--dim", "2", "--t", "nan"], "error: sweep t values"),

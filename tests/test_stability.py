@@ -1,5 +1,6 @@
 """Homothetic distance, ellipsoid fitting, the K_t bump family, and sweeps."""
 
+import functools
 import math
 import tracemalloc
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from convexlab.geometry import (
+    Ellipsoid,
     LinearMap,
     SymmetricHPolytope,
+    SymmetricVPolytope,
     apply_map,
     cross_polytope,
     cube,
@@ -76,6 +79,97 @@ def test_homothetic_deterministic(square, disk):
     a = homothetic_distance(square, disk, samples=100_000, seed=4)
     b = homothetic_distance(square, disk, samples=100_000, seed=4)
     assert a == b
+
+
+def _reference_homothetic_distance(k_body, c_body, samples, seed):
+    """Reference ``homothetic_distance``: both memberships on every draw."""
+    n = k_body.dim
+    alpha = volume(k_body) ** (-1.0 / n)
+    beta = volume(c_body) ** (-1.0 / n)
+    hi = np.maximum(alpha * k_body.bounding_box()[1], beta * c_body.bounding_box()[1])
+    lo = -hi
+    box_vol = float(np.prod(hi - lo))
+    hits = 0
+    for pts in box_chunks(lo, hi, samples, seed):
+        hits += int(np.count_nonzero(k_body.contains(pts / alpha) ^ c_body.contains(pts / beta)))
+    return box_vol * hits / samples
+
+
+@functools.cache
+def _kt_and_fit(n, t):
+    body = kt_family(n, t)
+    return body, best_fit_ellipsoid(body, samples=1000, seed=0)[0]
+
+
+def _scaled(body, s):
+    return apply_map(LinearMap(s * np.eye(body.dim)), body)
+
+
+def _polygon80():
+    """Every one of its 80 points is a vertex, so membership is angular."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 80, endpoint=False)
+    return SymmetricVPolytope(np.column_stack([1.3 * np.cos(theta), 0.8 * np.sin(theta)]))
+
+
+HOMOTHETIC_PAIRS = {
+    "kt-2d-0.04": lambda: _kt_and_fit(2, 0.04),
+    "kt-2d-0.12": lambda: _kt_and_fit(2, 0.12),
+    "kt-3d-0.08": lambda: _kt_and_fit(3, 0.08),
+    "square-disk": lambda: (cube(2), Ellipsoid.ball(2)),
+    "cube3-ball": lambda: (cube(3), Ellipsoid.ball(3)),
+    "cross4-ball": lambda: (cross_polytope(4), Ellipsoid.ball(4)),
+    "random3-ellipsoid": lambda: (random_symmetric_polytope(3, 10, 1), random_ellipsoid(3, seed=3)),
+    "random4-ellipsoid": lambda: (random_symmetric_polytope(4, 16, 1), random_ellipsoid(4, seed=3)),
+    "aspect-1e3-ball": lambda: (Ellipsoid(np.diag([1.0, 1e6])), Ellipsoid.ball(2)),
+    "polygon80-ellipse": lambda: (_polygon80(), random_ellipsoid(2, seed=2)),
+    "kt-2d-itself": lambda: (_kt_and_fit(2, 0.08)[0],) * 2,
+    "square-itself": lambda: (cube(2), cube(2)),
+    "small-large": lambda: (_scaled(random_symmetric_polytope(2, 8, 4), 1e-3),
+                            _scaled(random_ellipsoid(2, seed=4), 1e3)),
+    "large-small": lambda: (_scaled(cube(3), 1e3), _scaled(Ellipsoid.ball(3), 1e-3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOMOTHETIC_PAIRS))
+def test_homothetic_distance_equals_the_every_draw_reference(name):
+    """The draws outside the membership shell are not hits: the same hit
+    count, and so the same float, as testing both bodies on every draw."""
+    k_body, c_body = HOMOTHETIC_PAIRS[name]()
+    samples = 100_000 if k_body.dim > 2 else 200_000
+    for seed in range(5):
+        assert homothetic_distance(k_body, c_body, samples, seed) == (
+            _reference_homothetic_distance(k_body, c_body, samples, seed)
+        )
+
+
+def test_homothetic_distance_tests_membership_in_the_shell_only(monkeypatch):
+    """On 2D K_0.08 against its fit about 12 % of the draws lie between the
+    two bodies' inball and circumball."""
+    body, ell = _kt_and_fit(2, 0.08)
+    seen = {SymmetricHPolytope: 0, Ellipsoid: 0}
+    for cls in seen:
+        def counted(self, points, *args, _cls=cls, _contains=cls.contains, **kwargs):
+            seen[_cls] += len(points)
+            return _contains(self, points, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "contains", counted)
+    samples = 200_000
+    homothetic_distance(body, ell, samples, seed=0)
+    assert 0 < seen[SymmetricHPolytope] == seen[Ellipsoid] < samples / 5
+
+
+def test_homothetic_distance_peak_no_higher_than_the_reference():
+    body, ell = _kt_and_fit(2, 0.08)
+    peaks = []
+    for distance in (homothetic_distance, _reference_homothetic_distance):
+        distance(body, ell, 1000, 0)  # the bodies' own caches
+        tracemalloc.start()
+        try:
+            distance(body, ell, 10**6, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +436,12 @@ def test_fit_loglog_slope_exact_power_law():
         fit_loglog_slope([0.1], [0.2])
     with pytest.raises(ValueError):
         fit_loglog_slope([0.1, 0.2], [0.0, 0.1])
+
+
+def test_fit_loglog_slope_refuses_one_repeated_x():
+    with pytest.raises(ValueError, match="two distinct x values"):
+        fit_loglog_slope([0.04, 0.04], [1e-3, 2e-3])
+    assert fit_loglog_slope([0.04, 0.04, 0.08], [1e-3, 1e-3, 4e-3]) == pytest.approx(2.0)
 
 
 def test_kt_sweep_quadratic_scaling():
